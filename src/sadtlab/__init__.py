@@ -29,7 +29,6 @@ from .nn import (
     ParamSet,
     build_simple_cnn,
     build_tiny_mlp,
-    forward_logits,
     load_checkpoint,
     model_from_params,
     save_checkpoint,
@@ -58,7 +57,7 @@ __all__ = [
     "make_batches",
     "estimate_sharpness", "evaluate", "model_divergence",
     "Model", "ParamSet", "build_simple_cnn", "build_tiny_mlp",
-    "forward_logits", "load_checkpoint", "model_from_params", "save_checkpoint",
+    "load_checkpoint", "model_from_params", "save_checkpoint",
     "AdamState", "GradSet", "NoiseRecord", "Schedule", "adam_step",
     "adaptive_gradient_clip", "add_noise", "aggregate_gradients", "cosine_lr",
     "gradient_centralize", "subtract_noise",

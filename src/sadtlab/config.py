@@ -8,7 +8,7 @@ directory alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .strategies import STRATEGY_IDS
@@ -163,8 +163,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("batch_size", "train_size", "test_size", "num_classes", "probe_batches"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
-    if cfg.arch == "simple_cnn" and cfg.strategy_id == "sadt_v2":
-        pass  # conv layer present by construction
     if cfg.arch == "tiny_mlp" and cfg.strategy_id == "sadt_v2":
         raise ConfigError("sadt_v2 needs a conv layer; tiny_mlp has none")
 
@@ -220,7 +218,3 @@ def config_fingerprint_fields(cfg: ExperimentConfig) -> dict:
         "arch": cfg.arch,
         "hidden_dims": list(cfg.hidden_dims),
     }
-
-
-def field_names() -> list[str]:
-    return [f.name for f in fields(ExperimentConfig)]

@@ -203,10 +203,6 @@ class Model:
         return Model(self.arch, self.params.clone(), self.input_shape)
 
 
-def forward_logits(model: Model, batch_images: Tensor) -> Tensor:
-    return model.forward(batch_images)
-
-
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)

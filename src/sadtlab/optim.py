@@ -224,7 +224,6 @@ class NoiseRecord:
 
     sigma: float
     layer_filter: str
-    stream_id: str = ""
     entries: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
     consumed: bool = False
 
@@ -257,7 +256,6 @@ def add_noise(
     sigma: float,
     layer_filter: str,
     rng: np.random.Generator,
-    stream_id: str = "",
 ) -> NoiseRecord:
     """Add elementwise N(0, sigma^2) noise to the selected tensors in place.
 
@@ -270,7 +268,7 @@ def add_noise(
     selected = _noise_targets(target, layer_filter)
     if not selected:
         raise NoiseError(f"filter {layer_filter!r} selected no tensors")
-    record = NoiseRecord(sigma=sigma, layer_filter=layer_filter, stream_id=stream_id)
+    record = NoiseRecord(sigma=sigma, layer_filter=layer_filter)
     for name, arr in selected:
         noise = rng.normal(0.0, sigma, size=arr.shape)
         before = arr.copy()

@@ -52,7 +52,7 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
 
     All runs must share one dataset fingerprint and model architecture. The
     best accuracy per seed column is flagged with '*' in the text table and
-    the comparison CSV.
+    the comparison CSV; aborted runs leave their cell empty.
     """
     if len(run_dirs) < 2:
         raise CompareError("compare needs at least two runs")
@@ -73,11 +73,11 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
         cells[key] = r["summary"]["final_test_accuracy"]
     strategies = [s for s in STRATEGY_IDS if any(k[0] == s for k in cells)]
     seeds = sorted({k[1] for k in cells})
-    best = {
-        seed: max((s for s in strategies if (s, seed) in cells), key=lambda s: cells[(s, seed)])
-        for seed in seeds
-        if any((s, seed) in cells for s in strategies)
-    }
+    best: dict[int, str] = {}
+    for seed in seeds:
+        finished = [s for s in strategies if cells.get((s, seed)) is not None]
+        if finished:  # aborted runs have no final accuracy and never win
+            best[seed] = max(finished, key=lambda s: cells[(s, seed)])
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

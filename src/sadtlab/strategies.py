@@ -1,22 +1,36 @@
-"""Per-batch training strategies behind one step interface.
+"""Per-batch training strategies: one step pipeline driven by a preset table.
 
 Seven strategies: plain mixed-label descent, the same with centralized or
 adaptively clipped gradients, two-pass ascent-descent (sam), and the three
-noisy self-teacher variants that aggregate a task gradient with a soft-label
-KL gradient taken against a perturbed copy of the freshly updated weights.
+noisy self-teacher variants (sadt_v1/v2/v3) that aggregate the task gradient
+with soft-label KL gradients taken against perturbed copies of the freshly
+updated weights.
 
-Every noisy variant follows the same shape: an initial update on a transient
-optimizer clone produces the self-teacher weights; a perturbation of those
-weights produces auxiliary teacher logits; the KL between pre-update logits
-(held constant) and auxiliary logits is differentiated; the perturbation is
-removed exactly; and the final update applies the aggregated gradient with
-the persistent optimizer state.
+``PRESETS`` maps each id to a gradient transform (none, "gc" or "agc"), a
+flag for the sam ascent, and a tuple of teacher perturbations named by the
+``add_noise`` filters. ``Strategy.step`` runs every id through one order:
+
+1. task pass: forward and backward of the mixed-label loss at w;
+2. the gradient transform, or the sam ascent (move rho along the normalized
+   gradient, take the gradient there, restore w exactly);
+3. with teachers: a transient update on an optimizer clone gives the
+   self-teacher weights w_up; each teacher perturbs w_up, differentiates the
+   KL between the pre-update logits (held constant) and its own logits, and
+   is undone exactly; the task and KL gradients are summed, and with
+   rollback_to_w the weights return to w;
+4. one update with the persistent optimizer state.
+
+Parameter-noise teachers ("all", "last-conv", "last-dense") add
+N(0, sigma_w^2) to the selected layers and subtract it bitwise afterwards.
+The gradient-noise teacher ("gradient-all") ascends ascent_lr along a copy of
+the task gradient carrying N(0, sigma_g^2) noise and restores a snapshot.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +38,10 @@ from .autodiff import Tape, Tensor, add, backward, kl_divergence, scale, softmax
 from .data import MixedBatch
 from .nn import Model
 from .optim import (
+    PARAM_FILTERS,
     AdamState,
     GradSet,
+    NoiseRecord,
     adam_step,
     adaptive_gradient_clip,
     add_noise,
@@ -34,7 +50,28 @@ from .optim import (
     subtract_noise,
 )
 
-STRATEGY_IDS = ("baseline", "gc", "agc", "sam", "sadt_v1", "sadt_v2", "sadt_v3")
+# Strategy.step calls backward and the optim functions above through this
+# module's globals, never through a local alias or a stored reference, so a
+# profiler can wrap any of them by reassigning the attribute on
+# sadtlab.strategies (perfbench/tracing.py does).
+
+
+class Preset(NamedTuple):
+    transform: str | None  # None, "gc" or "agc"
+    sam: bool
+    teachers: tuple[str, ...]  # one add_noise filter per KL pass
+
+
+PRESETS = {
+    "baseline": Preset(None, False, ()),
+    "gc": Preset("gc", False, ()),
+    "agc": Preset("agc", False, ()),
+    "sam": Preset(None, True, ()),
+    "sadt_v1": Preset(None, False, ("all",)),
+    "sadt_v2": Preset(None, False, ("last-conv", "last-dense")),
+    "sadt_v3": Preset(None, False, ("gradient-all",)),
+}
+STRATEGY_IDS = tuple(PRESETS)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -66,6 +103,11 @@ class StepTrace:
         self.marks[name] = params.snapshot()
 
 
+def _mark(trace: StepTrace | None, name: str, params) -> None:
+    if trace is not None:
+        trace.mark(name, params)
+
+
 @dataclass
 class Strategy:
     """Strategy id plus the hyperparameters its step consumes."""
@@ -79,7 +121,7 @@ class Strategy:
     rollback_to_w: bool = False
 
     def __post_init__(self):
-        if self.id not in STRATEGY_IDS:
+        if self.id not in PRESETS:
             raise ValueError(f"unknown strategy id {self.id!r} (choose from {STRATEGY_IDS})")
 
     def step(
@@ -91,30 +133,95 @@ class Strategy:
         noise_seed: np.random.SeedSequence | int | None = None,
         trace: StepTrace | None = None,
     ) -> StepReport:
-        if self.id == "baseline":
-            return baseline_step(model, batch, state, lr)
-        if self.id == "gc":
-            return gc_step(model, batch, state, lr)
-        if self.id == "agc":
-            return agc_step(model, batch, state, lr, self.agc_lambda)
-        if self.id == "sam":
-            return sam_step(model, batch, state, lr, self.rho, trace=trace)
-        rngs = _noise_rngs(noise_seed, 2 if self.id == "sadt_v2" else 1)
-        if self.id == "sadt_v1":
-            return sadt_v1_step(
-                model, batch, state, lr, self.sigma_w, rngs[0],
-                rollback_to_w=self.rollback_to_w, trace=trace,
-            )
-        if self.id == "sadt_v2":
-            return sadt_v2_step(
-                model, batch, state, lr, self.sigma_w, rngs,
-                rollback_to_w=self.rollback_to_w, trace=trace,
-            )
-        return sadt_v3_step(
-            model, batch, state, lr, self.sigma_g,
-            lr if self.ascent_lr is None else self.ascent_lr,
-            rngs[0], rollback_to_w=self.rollback_to_w, trace=trace,
+        transform, sam, teachers = PRESETS[self.id]
+        ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
+        self._validate(model, sam, teachers, ascent_lr)
+        start = time.perf_counter()
+        logits_w, task_loss, grads = _task_pass(model, batch)
+        flags: tuple[str, ...] = ()
+        if transform == "gc":
+            grads = gradient_centralize(grads)
+        elif transform == "agc":
+            grads = adaptive_gradient_clip(model.params, grads, self.agc_lambda)
+        if sam:
+            grads, flags = _sam_ascent(model, batch, grads, self.rho, trace)
+        kl_loss = 0.0
+        if teachers:
+            rngs = _noise_rngs(noise_seed, len(teachers))
+            w_snap = model.params.snapshot() if self.rollback_to_w else None
+            # transient clone: the initial update must not advance persistent moments
+            adam_step(model.params, grads, state.clone(), lr)
+            _mark(trace, "w_up", model.params)
+            parts = [grads]
+            for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
+                record, undo = self._perturb(model, grads, layer_filter, rng, ascent_lr)
+                if trace is not None:
+                    trace.records.append(record)
+                _mark(trace, f"aux_{i}", model.params)
+                kl, g_aux = _kl_pass(model, batch, logits_w)
+                undo()
+                _mark(trace, f"rollback_{i}", model.params)
+                kl_loss += kl
+                parts.append(g_aux)
+            grads = aggregate_gradients(parts)
+            if w_snap is not None:
+                model.params.restore(w_snap)
+        if trace is not None:
+            trace.final_grads = grads
+        adam_step(model.params, grads, state, lr)
+        return StepReport(
+            task_loss, kl_loss, lr, grads.global_norm(), (time.perf_counter() - start) * 1e3, flags
         )
+
+    def _validate(
+        self, model: Model, sam: bool, teachers: tuple[str, ...], ascent_lr: float
+    ) -> None:
+        """Reject bad hyperparameters before the step changes any weight."""
+        if sam and self.rho <= 0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
+        if any(f in PARAM_FILTERS for f in teachers) and self.sigma_w < 0:
+            raise ValueError(f"sigma_w must be >= 0, got {self.sigma_w}")
+        if "gradient-all" in teachers:
+            if self.sigma_g < 0:
+                raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
+            if ascent_lr < 0:
+                raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
+        if "last-conv" in teachers and model.params.last_conv_layer() is None:
+            raise ValueError(f"{self.id} requires an architecture with a conv layer")
+
+    def _perturb(
+        self, model: Model, grads: GradSet, layer_filter: str, rng: np.random.Generator,
+        ascent_lr: float,
+    ) -> tuple[NoiseRecord, Callable[[], None]]:
+        """Move the weights to one auxiliary teacher; return the noise record
+        and a callable that restores the weights bitwise."""
+        if layer_filter in PARAM_FILTERS:
+            record = add_noise(model.params, self.sigma_w, layer_filter, rng)
+            return record, lambda: subtract_noise(model.params, record)
+        g_noisy = grads.clone()
+        record = add_noise(g_noisy, self.sigma_g, layer_filter, rng)
+        up_snap = model.params.snapshot()
+        model.params.add_scaled(g_noisy, ascent_lr)
+        return record, lambda: model.params.restore(up_snap)
+
+
+def _sam_ascent(
+    model: Model, batch: MixedBatch, grads: GradSet, rho: float, trace: StepTrace | None
+) -> tuple[GradSet, tuple[str, ...]]:
+    """Ascend rho along the normalized gradient, take the gradient there and
+    restore the weights exactly. A zero gradient skips the ascent (the step
+    degenerates to baseline) and is flagged."""
+    norm = grads.global_norm()
+    if norm == 0.0:
+        return grads, ("zero-gradient",)
+    snap = model.params.snapshot()
+    _mark(trace, "w", model.params)
+    model.params.add_scaled(grads, rho / norm)
+    _mark(trace, "perturbed", model.params)
+    _, _, grads = _task_pass(model, batch)
+    model.params.restore(snap)
+    _mark(trace, "restored", model.params)
+    return grads, ()
 
 
 def _noise_rngs(noise_seed, count: int) -> list[np.random.Generator]:
@@ -158,218 +265,3 @@ def _kl_pass(model: Model, batch: MixedBatch, teacher_logits: np.ndarray) -> tup
         raise NonFiniteLossError(f"KL loss is {kl_loss!r}")
     grads = GradSet.from_backward(model.params, backward(kl))
     return kl_loss, grads
-
-
-def baseline_step(model: Model, batch: MixedBatch, state: AdamState, lr: float) -> StepReport:
-    """One forward on the mixed batch, one backward, one Adam update."""
-    start = time.perf_counter()
-    _, task_loss, grads = _task_pass(model, batch)
-    adam_step(model.params, grads, state, lr)
-    return StepReport(task_loss, 0.0, lr, grads.global_norm(), (time.perf_counter() - start) * 1e3)
-
-
-def gc_step(model: Model, batch: MixedBatch, state: AdamState, lr: float) -> StepReport:
-    """Baseline flow with weight gradients centralized before the update."""
-    start = time.perf_counter()
-    _, task_loss, grads = _task_pass(model, batch)
-    grads = gradient_centralize(grads)
-    adam_step(model.params, grads, state, lr)
-    return StepReport(task_loss, 0.0, lr, grads.global_norm(), (time.perf_counter() - start) * 1e3)
-
-
-def agc_step(
-    model: Model, batch: MixedBatch, state: AdamState, lr: float, lam: float = 0.01
-) -> StepReport:
-    """Baseline flow with adaptively clipped gradients before the update."""
-    start = time.perf_counter()
-    _, task_loss, grads = _task_pass(model, batch)
-    grads = adaptive_gradient_clip(model.params, grads, lam)
-    adam_step(model.params, grads, state, lr)
-    return StepReport(task_loss, 0.0, lr, grads.global_norm(), (time.perf_counter() - start) * 1e3)
-
-
-def sam_step(
-    model: Model,
-    batch: MixedBatch,
-    state: AdamState,
-    lr: float,
-    rho: float,
-    trace: StepTrace | None = None,
-) -> StepReport:
-    """Ascend rho along the normalized gradient, re-evaluate the gradient
-    there, restore the weights exactly, then descend at the original point.
-
-    A zero task gradient skips the perturbation (the step degenerates to
-    baseline) and is flagged in the report.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    start = time.perf_counter()
-    _, task_loss, grads = _task_pass(model, batch)
-    flags: tuple[str, ...] = ()
-    norm = grads.global_norm()
-    if norm == 0.0:
-        flags = ("zero-gradient",)
-        final = grads
-    else:
-        snap = model.params.snapshot()
-        if trace is not None:
-            trace.mark("w", model.params)
-        model.params.add_scaled(grads, rho / norm)
-        if trace is not None:
-            trace.mark("perturbed", model.params)
-        _, _, final = _task_pass(model, batch)
-        model.params.restore(snap)
-        if trace is not None:
-            trace.mark("restored", model.params)
-    if trace is not None:
-        trace.final_grads = final
-    adam_step(model.params, final, state, lr)
-    return StepReport(
-        task_loss, 0.0, lr, final.global_norm(), (time.perf_counter() - start) * 1e3, flags
-    )
-
-
-def _initial_update(model: Model, grads: GradSet, state: AdamState, lr: float) -> None:
-    # transient clone: the initial update must not advance persistent moments
-    adam_step(model.params, grads, state.clone(), lr)
-
-
-def sadt_v1_step(
-    model: Model,
-    batch: MixedBatch,
-    state: AdamState,
-    lr: float,
-    sigma_w: float,
-    rng: np.random.Generator,
-    rollback_to_w: bool = False,
-    trace: StepTrace | None = None,
-) -> StepReport:
-    """Noisy self-teacher over every layer.
-
-    Flow: task gradient at w; transient update to the self-teacher weights;
-    N(0, sigma_w^2) noise on all layers forms the auxiliary teacher; KL
-    between the pre-update logits (constant) and auxiliary logits gives the
-    auxiliary gradient; the noise is removed exactly; the task and auxiliary
-    gradients are summed and applied with the persistent optimizer state.
-    """
-    if sigma_w < 0:
-        raise ValueError(f"sigma_w must be >= 0, got {sigma_w}")
-    start = time.perf_counter()
-    logits_w, task_loss, g_up = _task_pass(model, batch)
-    w_snap = model.params.snapshot() if rollback_to_w else None
-    _initial_update(model, g_up, state, lr)
-    if trace is not None:
-        trace.mark("w_up", model.params)
-    record = add_noise(model.params, sigma_w, "all", rng)
-    if trace is not None:
-        trace.records.append(record)
-        trace.mark("aux_0", model.params)
-    kl_loss, g_aux = _kl_pass(model, batch, logits_w)
-    subtract_noise(model.params, record)
-    if trace is not None:
-        trace.mark("rollback_0", model.params)
-    g_final = aggregate_gradients([g_up, g_aux])
-    if trace is not None:
-        trace.final_grads = g_final
-    if w_snap is not None:
-        model.params.restore(w_snap)
-    adam_step(model.params, g_final, state, lr)
-    return StepReport(
-        task_loss, kl_loss, lr, g_final.global_norm(), (time.perf_counter() - start) * 1e3
-    )
-
-
-def sadt_v2_step(
-    model: Model,
-    batch: MixedBatch,
-    state: AdamState,
-    lr: float,
-    sigma_w: float,
-    rngs: list[np.random.Generator],
-    rollback_to_w: bool = False,
-    trace: StepTrace | None = None,
-) -> StepReport:
-    """Two auxiliary teachers: noise on the last conv layer, then on the last
-    dense layer, each evaluated and rolled back in turn; the final gradient
-    aggregates the task gradient with both KL gradients.
-    """
-    if sigma_w < 0:
-        raise ValueError(f"sigma_w must be >= 0, got {sigma_w}")
-    if model.params.last_conv_layer() is None:
-        raise ValueError("sadt_v2 requires an architecture with a conv layer")
-    start = time.perf_counter()
-    logits_w, task_loss, g_up = _task_pass(model, batch)
-    w_snap = model.params.snapshot() if rollback_to_w else None
-    _initial_update(model, g_up, state, lr)
-    if trace is not None:
-        trace.mark("w_up", model.params)
-    kl_total = 0.0
-    aux_grads = []
-    for i, layer_filter in enumerate(("last-conv", "last-dense")):
-        record = add_noise(model.params, sigma_w, layer_filter, rngs[i])
-        if trace is not None:
-            trace.records.append(record)
-            trace.mark(f"aux_{i}", model.params)
-        kl_loss, g_aux = _kl_pass(model, batch, logits_w)
-        subtract_noise(model.params, record)
-        if trace is not None:
-            trace.mark(f"rollback_{i}", model.params)
-        kl_total += kl_loss
-        aux_grads.append(g_aux)
-    g_final = aggregate_gradients([g_up, *aux_grads])
-    if trace is not None:
-        trace.final_grads = g_final
-    if w_snap is not None:
-        model.params.restore(w_snap)
-    adam_step(model.params, g_final, state, lr)
-    return StepReport(
-        task_loss, kl_total, lr, g_final.global_norm(), (time.perf_counter() - start) * 1e3
-    )
-
-
-def sadt_v3_step(
-    model: Model,
-    batch: MixedBatch,
-    state: AdamState,
-    lr: float,
-    sigma_g: float,
-    ascent_lr: float,
-    rng: np.random.Generator,
-    rollback_to_w: bool = False,
-    trace: StepTrace | None = None,
-) -> StepReport:
-    """Gradient-noise variant: perturb the task gradient, ascend along it
-    from the self-teacher weights to form the auxiliary teacher, then proceed
-    as the other variants (KL gradient, exact rollback, aggregated update).
-    """
-    if sigma_g < 0:
-        raise ValueError(f"sigma_g must be >= 0, got {sigma_g}")
-    if ascent_lr < 0:
-        raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
-    start = time.perf_counter()
-    logits_w, task_loss, g_up = _task_pass(model, batch)
-    w_snap = model.params.snapshot() if rollback_to_w else None
-    _initial_update(model, g_up, state, lr)
-    if trace is not None:
-        trace.mark("w_up", model.params)
-    g_noisy = g_up.clone()
-    record = add_noise(g_noisy, sigma_g, "gradient-all", rng)
-    up_snap = model.params.snapshot()
-    model.params.add_scaled(g_noisy, ascent_lr)
-    if trace is not None:
-        trace.records.append(record)
-        trace.mark("aux_0", model.params)
-    kl_loss, g_aux = _kl_pass(model, batch, logits_w)
-    model.params.restore(up_snap)
-    if trace is not None:
-        trace.mark("rollback_0", model.params)
-    g_final = aggregate_gradients([g_up, g_aux])
-    if trace is not None:
-        trace.final_grads = g_final
-    if w_snap is not None:
-        model.params.restore(w_snap)
-    adam_step(model.params, g_final, state, lr)
-    return StepReport(
-        task_loss, kl_loss, lr, g_final.global_norm(), (time.perf_counter() - start) * 1e3
-    )

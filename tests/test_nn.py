@@ -6,7 +6,6 @@ from sadtlab.nn import (
     CheckpointError,
     build_simple_cnn,
     build_tiny_mlp,
-    forward_logits,
     load_checkpoint,
     model_from_params,
     save_checkpoint,
@@ -83,34 +82,34 @@ class TestForwardLogits:
         model = build_simple_cnn((1, 8, 8), 5, seed=0)
         model.params.get("dense3.weight").data[...] = 0.0
         model.params.get("dense3.bias").data[...] = 0.0
-        logits = forward_logits(model, Tensor(rng.uniform(0, 1, (2, 1, 8, 8))))
+        logits = model.forward(Tensor(rng.uniform(0, 1, (2, 1, 8, 8))))
         assert np.array_equal(logits.data, np.zeros((2, 5)))
 
     def test_fixed_seed_fixed_input_bitwise_identical(self, rng):
         model = build_simple_cnn((1, 8, 8), 5, seed=1)
         x = Tensor(rng.uniform(0, 1, (3, 1, 8, 8)))
-        a = forward_logits(model, x).data
-        b = forward_logits(model, x).data
+        a = model.forward(x).data
+        b = model.forward(x).data
         assert np.array_equal(a, b)
 
     def test_batch_independence(self, rng):
         model = build_simple_cnn((1, 8, 8), 5, seed=1)
         batch = rng.uniform(0, 1, (4, 1, 8, 8))
-        full = forward_logits(model, Tensor(batch)).data
-        single = forward_logits(model, Tensor(batch[2:3])).data
+        full = model.forward(Tensor(batch)).data
+        single = model.forward(Tensor(batch[2:3])).data
         assert np.max(np.abs(full[2] - single[0])) < 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
         model = build_simple_cnn((1, 8, 8), 5, seed=1)
         with pytest.raises(ShapeError):
-            forward_logits(model, Tensor(rng.uniform(0, 1, (2, 3, 8, 8))))
+            model.forward(Tensor(rng.uniform(0, 1, (2, 3, 8, 8))))
 
     def test_batch_permutation_equivariance(self, rng):
         model = build_simple_cnn((1, 8, 8), 5, seed=2)
         batch = rng.uniform(0, 1, (6, 1, 8, 8))
         perm = rng.permutation(6)
-        out = forward_logits(model, Tensor(batch)).data
-        out_perm = forward_logits(model, Tensor(batch[perm])).data
+        out = model.forward(Tensor(batch)).data
+        out_perm = model.forward(Tensor(batch[perm])).data
         assert np.allclose(out[perm], out_perm, rtol=0, atol=1e-12)
 
     def test_mlp_accepts_flat_and_image_batches(self, rng):

@@ -9,11 +9,6 @@ from sadtlab.strategies import (
     NonFiniteLossError,
     StepTrace,
     Strategy,
-    baseline_step,
-    gc_step,
-    sadt_v1_step,
-    sadt_v3_step,
-    sam_step,
     _task_pass,
 )
 
@@ -58,14 +53,14 @@ class TestBaseline:
     def test_lr_zero_leaves_params(self):
         model, batch = mlp_and_batch()
         before = model.params.snapshot()
-        baseline_step(model, batch, AdamState(model.params), lr=0.0)
+        Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.0)
         assert snapshots_equal(model.params.snapshot(), before)
 
     def test_fixed_seed_identical_reports(self):
         reports = []
         for _ in range(2):
             model, batch = mlp_and_batch(seed=5)
-            report = baseline_step(model, batch, AdamState(model.params), lr=0.001)
+            report = Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.001)
             reports.append(report)
         a, b = reports
         assert (a.task_loss, a.kl_loss, a.lr, a.grad_norm, a.flags) == (
@@ -79,22 +74,23 @@ class TestBaseline:
         labels = np.array([0, 1])
         batch = MixedBatch.plain(images, labels)
         state = AdamState(model.params)
-        first = baseline_step(model, batch, state, lr=0.01).task_loss
+        strat = Strategy("baseline")
+        first = strat.step(model, batch, state, lr=0.01).task_loss
         last = first
         for _ in range(199):
-            last = baseline_step(model, batch, state, lr=0.01).task_loss
+            last = strat.step(model, batch, state, lr=0.01).task_loss
         assert last < first
 
     def test_kl_loss_zero_in_report(self):
         model, batch = mlp_and_batch()
-        report = baseline_step(model, batch, AdamState(model.params), lr=0.001)
+        report = Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.001)
         assert report.kl_loss == 0.0
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         model, batch = mlp_and_batch()
         model.params.get("dense1.weight").data[0, 0] = np.nan
         with pytest.raises(NonFiniteLossError, match="nan"):
-            baseline_step(model, batch, AdamState(model.params), lr=0.001)
+            Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.001)
 
 
 class TestGcAgc:
@@ -102,7 +98,7 @@ class TestGcAgc:
         batch = small_batch(seed=1)
         model_a = small_cnn(seed=4)
         model_b = small_cnn(seed=4)
-        gc_step(model_a, batch, AdamState(model_a.params), lr=0.001)
+        Strategy("gc").step(model_a, batch, AdamState(model_a.params), lr=0.001)
         _, _, grads = _task_pass(model_b, batch)
         adam_step(model_b.params, gradient_centralize(grads), AdamState(model_b.params), 0.001)
         assert snapshots_equal(model_a.params.snapshot(), model_b.params.snapshot())
@@ -119,7 +115,7 @@ class TestGcAgc:
         batch = small_batch(seed=1)
         model = small_cnn(seed=4)
         trace = StepTrace()
-        # gc_step centralizes before the update; replicate and check the invariant
+        # the gc strategy centralizes before the update; replicate and check the invariant
         _, _, grads = _task_pass(model, batch)
         out = gradient_centralize(grads)
         for name, arr, kind in out:
@@ -148,7 +144,7 @@ class TestSam:
         model = small_cnn(seed=6)
         batch = small_batch(seed=7)
         trace = StepTrace()
-        sam_step(model, batch, AdamState(model.params), lr=0.001, rho=0.05, trace=trace)
+        Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001, trace=trace)
         w = trace.marks["w"]
         pert = trace.marks["perturbed"]
         delta = np.concatenate([(pert[k] - w[k]).ravel() for k in w])
@@ -158,7 +154,7 @@ class TestSam:
         model = small_cnn(seed=6)
         batch = small_batch(seed=7)
         trace = StepTrace()
-        sam_step(model, batch, AdamState(model.params), lr=0.001, rho=0.05, trace=trace)
+        Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001, trace=trace)
         assert snapshots_equal(trace.marks["w"], trace.marks["restored"])
 
     def test_tiny_rho_converges_to_baseline(self):
@@ -166,8 +162,8 @@ class TestSam:
         model_b = small_cnn(seed=6)
         batch = small_batch(seed=7)
         before = model_a.params.snapshot()
-        sam_step(model_a, batch, AdamState(model_a.params), lr=0.001, rho=1e-12)
-        baseline_step(model_b, batch, AdamState(model_b.params), lr=0.001)
+        Strategy("sam", rho=1e-12).step(model_a, batch, AdamState(model_a.params), lr=0.001)
+        Strategy("baseline").step(model_b, batch, AdamState(model_b.params), lr=0.001)
         diff = np.concatenate(
             [
                 (model_a.params.get(k).data - model_b.params.get(k).data).ravel()
@@ -189,13 +185,13 @@ class TestSam:
         images = np.zeros((2, 2))
         labels = np.array([0, 1])
         batch = MixedBatch(images, labels, labels[::-1].copy(), 0.5)
-        report = sam_step(model, batch, AdamState(model.params), lr=0.001, rho=0.05)
+        report = Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001)
         assert report.flags == ("zero-gradient",)
 
     def test_rho_must_be_positive(self):
         model, batch = mlp_and_batch()
         with pytest.raises(ValueError):
-            sam_step(model, batch, AdamState(model.params), lr=0.001, rho=0.0)
+            Strategy("sam", rho=0.0).step(model, batch, AdamState(model.params), lr=0.001)
 
 
 class TestSadtV1:
@@ -204,9 +200,9 @@ class TestSadtV1:
         batch = small_batch(seed=9)
         before = model.params.snapshot()
         trace = StepTrace()
-        report = sadt_v1_step(
-            model, batch, AdamState(model.params), lr=0.0, sigma_w=0.0,
-            rng=np.random.default_rng(0), trace=trace,
+        report = Strategy("sadt_v1", sigma_w=0.0).step(
+            model, batch, AdamState(model.params), lr=0.0,
+            noise_seed=np.random.SeedSequence(0), trace=trace,
         )
         assert snapshots_equal(model.params.snapshot(), before)
         assert snapshots_equal(trace.marks["w_up"], before)  # w_up == w at lr 0
@@ -214,9 +210,9 @@ class TestSadtV1:
 
     def test_sigma_zero_lr_positive_kl_nonnegative(self):
         model, batch = mlp_and_batch(seed=2)
-        report = sadt_v1_step(
-            model, batch, AdamState(model.params), lr=0.01, sigma_w=0.0,
-            rng=np.random.default_rng(0),
+        report = Strategy("sadt_v1", sigma_w=0.0).step(
+            model, batch, AdamState(model.params), lr=0.01,
+            noise_seed=np.random.SeedSequence(0),
         )
         assert np.isfinite(report.kl_loss)
         assert report.kl_loss >= 0.0
@@ -225,9 +221,9 @@ class TestSadtV1:
         model = small_cnn(seed=8)
         batch = small_batch(seed=9)
         trace = StepTrace()
-        sadt_v1_step(
-            model, batch, AdamState(model.params), lr=0.0001, sigma_w=0.0001,
-            rng=np.random.default_rng(3), trace=trace,
+        Strategy("sadt_v1", sigma_w=0.0001).step(
+            model, batch, AdamState(model.params), lr=0.0001,
+            noise_seed=np.random.SeedSequence(3), trace=trace,
         )
         assert not snapshots_equal(trace.marks["w_up"], trace.marks["aux_0"])
         assert snapshots_equal(trace.marks["w_up"], trace.marks["rollback_0"])
@@ -236,9 +232,9 @@ class TestSadtV1:
         model = small_cnn(seed=8)
         batch = small_batch(seed=9)
         trace = StepTrace()
-        sadt_v1_step(
-            model, batch, AdamState(model.params), lr=0.0001, sigma_w=0.0001,
-            rng=np.random.default_rng(3), trace=trace,
+        Strategy("sadt_v1", sigma_w=0.0001).step(
+            model, batch, AdamState(model.params), lr=0.0001,
+            noise_seed=np.random.SeedSequence(3), trace=trace,
         )
         assert trace.records[0].names() == model.params.names()
 
@@ -248,9 +244,8 @@ class TestSadtV1:
             model, batch = mlp_and_batch(seed=4)
             state = AdamState(model.params)
             for step in range(5):
-                sadt_v1_step(
-                    model, batch, state, lr=0.001, sigma_w=0.0001,
-                    rng=np.random.default_rng(step),
+                Strategy("sadt_v1", sigma_w=0.0001).step(
+                    model, batch, state, lr=0.001, noise_seed=np.random.SeedSequence(step),
                 )
             finals.append(model.params.snapshot())
         assert snapshots_equal(finals[0], finals[1])
@@ -260,9 +255,8 @@ class TestSadtV1:
         w0 = model.params.snapshot()
         trace = StepTrace()
         state = AdamState(model.params)
-        sadt_v1_step(
-            model, batch, state, lr=0.01, sigma_w=0.0001,
-            rng=np.random.default_rng(1), rollback_to_w=True, trace=trace,
+        Strategy("sadt_v1", sigma_w=0.0001, rollback_to_w=True).step(
+            model, batch, state, lr=0.01, noise_seed=np.random.SeedSequence(1), trace=trace,
         )
         # reconstruct: one persistent Adam step at w with the traced gradient
         expected = build_tiny_mlp(4, [8], 3, seed=4)
@@ -273,8 +267,8 @@ class TestSadtV1:
     def test_persistent_state_advances_once_per_step(self):
         model, batch = mlp_and_batch(seed=4)
         state = AdamState(model.params)
-        sadt_v1_step(
-            model, batch, state, lr=0.001, sigma_w=0.0001, rng=np.random.default_rng(0)
+        Strategy("sadt_v1", sigma_w=0.0001).step(
+            model, batch, state, lr=0.001, noise_seed=np.random.SeedSequence(0)
         )
         assert state.t == 1
 
@@ -331,11 +325,13 @@ class TestSadtV3:
         ascent = rho / grads.global_norm()
 
         trace_sam = StepTrace()
-        sam_step(model_b, batch, AdamState(model_b.params), lr=0.0, rho=rho, trace=trace_sam)
+        Strategy("sam", rho=rho).step(
+            model_b, batch, AdamState(model_b.params), lr=0.0, trace=trace_sam
+        )
         trace_v3 = StepTrace()
-        sadt_v3_step(
-            model_a, batch, AdamState(model_a.params), lr=0.0, sigma_g=0.0,
-            ascent_lr=ascent, rng=np.random.default_rng(0), trace=trace_v3,
+        Strategy("sadt_v3", sigma_g=0.0, ascent_lr=ascent).step(
+            model_a, batch, AdamState(model_a.params), lr=0.0,
+            noise_seed=np.random.SeedSequence(0), trace=trace_v3,
         )
         sam_point = trace_sam.marks["perturbed"]
         v3_point = trace_v3.marks["aux_0"]
@@ -346,27 +342,26 @@ class TestSadtV3:
         model = small_cnn(seed=13)
         batch = small_batch(seed=14)
         trace = StepTrace()
-        sadt_v3_step(
-            model, batch, AdamState(model.params), lr=0.0001, sigma_g=0.0001,
-            ascent_lr=0.0001, rng=np.random.default_rng(2), trace=trace,
+        Strategy("sadt_v3", sigma_g=0.0001, ascent_lr=0.0001).step(
+            model, batch, AdamState(model.params), lr=0.0001,
+            noise_seed=np.random.SeedSequence(2), trace=trace,
         )
         assert snapshots_equal(trace.marks["w_up"], trace.marks["rollback_0"])
 
     def test_lr_zero_ascent_zero_unchanged(self):
         model, batch = mlp_and_batch(seed=15)
         before = model.params.snapshot()
-        sadt_v3_step(
-            model, batch, AdamState(model.params), lr=0.0, sigma_g=0.0,
-            ascent_lr=0.0, rng=np.random.default_rng(0),
+        Strategy("sadt_v3", sigma_g=0.0, ascent_lr=0.0).step(
+            model, batch, AdamState(model.params), lr=0.0, noise_seed=np.random.SeedSequence(0),
         )
         assert snapshots_equal(model.params.snapshot(), before)
 
     def test_gradient_noise_record_covers_all_entries(self):
         model, batch = mlp_and_batch(seed=15)
         trace = StepTrace()
-        sadt_v3_step(
-            model, batch, AdamState(model.params), lr=0.001, sigma_g=0.01,
-            ascent_lr=0.001, rng=np.random.default_rng(0), trace=trace,
+        Strategy("sadt_v3", sigma_g=0.01, ascent_lr=0.001).step(
+            model, batch, AdamState(model.params), lr=0.001,
+            noise_seed=np.random.SeedSequence(0), trace=trace,
         )
         assert trace.records[0].names() == model.params.names()
 
@@ -385,6 +380,28 @@ class TestStrategyDispatch:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             Strategy("sttrategy")
+
+    @pytest.mark.parametrize(
+        "strategy_id, fields, match",
+        [
+            ("sam", {"rho": 0.0}, "rho"),
+            ("sadt_v1", {"sigma_w": -0.1}, "sigma_w"),
+            ("sadt_v2", {"sigma_w": -0.1}, "sigma_w"),
+            ("sadt_v3", {"sigma_g": -0.1}, "sigma_g"),
+            ("sadt_v3", {"ascent_lr": -0.1}, "ascent_lr"),
+        ],
+    )
+    def test_bad_hyperparameters_rejected_before_any_update(self, strategy_id, fields, match):
+        model = small_cnn(seed=23)
+        batch = small_batch(seed=24)
+        before = model.params.snapshot()
+        state = AdamState(model.params)
+        with pytest.raises(ValueError, match=match):
+            Strategy(strategy_id, **fields).step(
+                model, batch, state, 0.001, noise_seed=np.random.SeedSequence(0)
+            )
+        assert snapshots_equal(model.params.snapshot(), before)
+        assert state.t == 0
 
     @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
     def test_reports_are_finite_with_nonnegative_kl(self, strategy_id):
