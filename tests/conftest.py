@@ -1,3 +1,11 @@
+# The golden fixture and perfbench/reference.json pin float results made with
+# one BLAS thread; OpenBLAS splits a matmul's sums differently with more.
+# pytest imports this file before any test module loads numpy.
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 
