@@ -4,6 +4,10 @@ A fresh :class:`Tape` is opened per forward pass; operations record onto the
 innermost active tape whenever a participating tensor needs gradients. A tape
 is consumed by a single :func:`backward` call, which walks the recorded nodes
 in reverse append order exactly once.
+
+Image tensors are channels last (N x H x W x C) throughout the convolution
+and pooling ops: the im2col matmul produces its rows in that order, so a
+conv's output and its incoming gradient need no layout copy.
 """
 
 from __future__ import annotations
@@ -243,6 +247,17 @@ def reshape(t: Tensor, shape) -> Tensor:
     return _apply(t.data.reshape(shape), (t,), bw)
 
 
+def transpose(t: Tensor, axes) -> Tensor:
+    """Axis permutation; the result is a view of ``t``'s values."""
+    axes = tuple(int(a) for a in axes)
+    inverse = tuple(np.argsort(axes))
+
+    def bw(g, needs):
+        return (g.transpose(inverse),)
+
+    return _apply(t.data.transpose(axes), (t,), bw)
+
+
 def relu(t: Tensor) -> Tensor:
     out = np.maximum(t.data, 0.0)
 
@@ -291,45 +306,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    n, c, h, w = xd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    n, h, w, c = xd.shape
+    if pad:
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+        xp[:, pad : pad + h, pad : pad + w, :] = xd
+    else:
+        xp = xd
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (w + 2 * pad - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # n,c,h_out,w_out,kh,kw
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * h_out * w_out, c * kh * kw
-    )
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    # n,h_out,w_out,c,kh,kw: one gathering copy, columns ordered (c, kh, kw)
+    cols = win[:, ::stride, ::stride].reshape(n * h_out * w_out, c * kh * kw)
     return cols, h_out, w_out
 
 
 def _col2im(gcols, xshape, kh, kw, stride, pad, h_out, w_out) -> np.ndarray:
-    n, c, h, w = xshape
+    n, h, w, c = xshape
     gwin = gcols.reshape(n, h_out, w_out, c, kh, kw)
-    gp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     # overlapping windows accumulate through kh*kw strided adds, fixed order
     for i in range(kh):
         for j in range(kw):
-            gp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                gwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            gp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride, :] += (
+                gwin[:, :, :, :, i, j]
             )
     if pad:
-        return gp[:, :, pad : pad + h, pad : pad + w]
+        return gp[:, pad : pad + h, pad : pad + w, :]
     return gp
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip), zero padding.
+def conv2d(
+    x: Tensor,
+    kernel: Tensor,
+    bias: Tensor | None = None,
+    stride: int = 1,
+    padding: int = 0,
+) -> Tensor:
+    """2-D cross-correlation (no kernel flip), zero padding, optional bias.
 
-    x: N x C x H x W, kernel: F x C x kh x kw. Output spatial extent is
-    floor((H + 2*padding - kh)/stride) + 1, same with W.
+    Channels last: x is N x H x W x C and the output N x H_out x W_out x F,
+    so the im2col matmul's rows are already the output's memory order and
+    neither the output nor the incoming gradient is transposed. kernel is
+    F x C x kh x kw, bias (if given) has F entries and is added per output
+    channel. Output spatial extent is floor((H + 2*padding - kh)/stride) + 1,
+    same with W.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape}, kernel {kernel.shape}")
+    if bias is not None and bias.shape != (f,):
+        raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
     if stride < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
@@ -339,37 +368,47 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     cols, h_out, w_out = _im2col(x.data, kh, kw, stride, padding)
     wmat = kernel.data.reshape(f, c * kh * kw)
-    out = np.ascontiguousarray(
-        (cols @ wmat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
-    )
+    out = (cols @ wmat.T).reshape(n, h_out, w_out, f)
+    if bias is not None:
+        out += bias.data
 
     def bw(g, needs):
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
+        gm = g.reshape(-1, f)
         gk = (gm.T @ cols).reshape(kernel.data.shape) if needs[1] else None
         gx = None
         if needs[0]:
             gx = _col2im(gm @ wmat, x.data.shape, kh, kw, stride, padding, h_out, w_out)
-        return gx, gk
+        if bias is None:
+            return gx, gk
+        gb = None
+        if needs[2]:
+            # batch first, then a pairwise sum over each channel's contiguous
+            # h_out*w_out values: the summation order of a channels-first layout
+            per_pixel = g.sum(axis=0).reshape(h_out * w_out, f)
+            gb = np.ascontiguousarray(per_pixel.T).sum(axis=1)
+        return gx, gk, gb
 
-    return _apply(out, (x, kernel), bw)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _apply(out, parents, bw)
 
 
 def max_pool2x2(t: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2, floor semantics on odd extents.
+    """2x2 max pooling over the spatial axes of an N x H x W x C tensor,
+    stride 2, floor semantics on odd extents.
 
     The gradient is an exact partition: each window routes its gradient to
     one cell, the earliest maximum in window scan order.
     """
-    n, c, h, w = t.shape
+    n, h, w, c = t.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ShapeError(f"max_pool2x2 needs extents >= 2, got {t.shape}")
     x = t.data
     cells = (
-        x[:, :, 0 : h2 * 2 : 2, 0 : w2 * 2 : 2],
-        x[:, :, 0 : h2 * 2 : 2, 1 : w2 * 2 : 2],
-        x[:, :, 1 : h2 * 2 : 2, 0 : w2 * 2 : 2],
-        x[:, :, 1 : h2 * 2 : 2, 1 : w2 * 2 : 2],
+        x[:, 0 : h2 * 2 : 2, 0 : w2 * 2 : 2],
+        x[:, 0 : h2 * 2 : 2, 1 : w2 * 2 : 2],
+        x[:, 1 : h2 * 2 : 2, 0 : w2 * 2 : 2],
+        x[:, 1 : h2 * 2 : 2, 1 : w2 * 2 : 2],
     )
     top = np.maximum(cells[0], cells[1])
     bottom = np.maximum(cells[2], cells[3])
@@ -380,17 +419,17 @@ def max_pool2x2(t: Tensor) -> Tensor:
         use_top = top >= bottom
         mask = cells[0] >= cells[1]
         np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, :, 0 : h2 * 2 : 2, 0 : w2 * 2 : 2])
+        np.multiply(g, mask, out=gx[:, 0 : h2 * 2 : 2, 0 : w2 * 2 : 2])
         np.less(cells[0], cells[1], out=mask)
         np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, :, 0 : h2 * 2 : 2, 1 : w2 * 2 : 2])
+        np.multiply(g, mask, out=gx[:, 0 : h2 * 2 : 2, 1 : w2 * 2 : 2])
         np.logical_not(use_top, out=use_top)
         np.greater_equal(cells[2], cells[3], out=mask)
         np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, :, 1 : h2 * 2 : 2, 0 : w2 * 2 : 2])
+        np.multiply(g, mask, out=gx[:, 1 : h2 * 2 : 2, 0 : w2 * 2 : 2])
         np.less(cells[2], cells[3], out=mask)
         np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, :, 1 : h2 * 2 : 2, 1 : w2 * 2 : 2])
+        np.multiply(g, mask, out=gx[:, 1 : h2 * 2 : 2, 1 : w2 * 2 : 2])
         return (gx,)
 
     return _apply(out, (t,), bw)

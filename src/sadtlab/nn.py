@@ -22,6 +22,7 @@ from .autodiff import (
     max_pool2x2,
     relu,
     reshape,
+    transpose,
 )
 
 CHECKPOINT_MAGIC = b"SADTCKPT"
@@ -142,19 +143,23 @@ class Model:
         return self._forward_mlp(images)
 
     def _forward_cnn(self, images: Tensor) -> Tensor:
+        """Images come in N x C x H x W and are carried channels last
+        (N x H x W x C) through every conv, ReLU and pool. Before the flatten
+        they are transposed back to channels first, so ``dense1.weight`` rows
+        keep their (C, H, W) order and checkpoints stay interchangeable."""
         if images.data.ndim != 4 or images.shape[1:] != tuple(self.input_shape):
             raise ShapeError(
                 f"expected batch of shape N x {self.input_shape}, got {images.shape}"
             )
-        x = images
+        x = transpose(images, (0, 2, 3, 1))
         for layer in self._conv_layers():
             w = self.params.get(f"{layer}.weight")
             b = self.params.get(f"{layer}.bias")
             kh = w.shape[2]
-            x = conv2d(x, w, stride=1, padding=kh // 2)
-            x = add(x, reshape(b, (b.shape[0], 1, 1)))
+            x = conv2d(x, w, b, stride=1, padding=kh // 2)
             x = relu(x)
             x = max_pool2x2(x)
+        x = transpose(x, (0, 3, 1, 2))
         x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
         return self._dense_stack(x)
 

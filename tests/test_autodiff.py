@@ -45,37 +45,51 @@ class TestMatmul:
 
 
 class TestConv2d:
+    """Channels-last inputs: x is N x H x W x C, kernels F x C x kh x kw."""
+
     def test_one_by_one_identity_kernel(self, rng):
-        x = Tensor(rng.normal(size=(2, 1, 5, 5)))
+        x = Tensor(rng.normal(size=(2, 5, 5, 1)))
         k = Tensor(np.ones((1, 1, 1, 1)))
         out = conv2d(x, k, stride=1, padding=0)
         assert np.array_equal(out.data, x.data)
 
     def test_all_ones_kernel_sums_window(self):
-        x = Tensor(np.ones((1, 1, 4, 4)))
+        x = Tensor(np.ones((1, 4, 4, 1)))
         k = Tensor(np.ones((1, 1, 3, 3)))
         out = conv2d(x, k, stride=1, padding=0)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.array_equal(out.data, np.full((1, 1, 2, 2), 9.0))
+        assert out.shape == (1, 2, 2, 1)
+        assert np.array_equal(out.data, np.full((1, 2, 2, 1), 9.0))
 
     def test_delta_kernel_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(2, 1, 6, 6)))
+        x = Tensor(rng.normal(size=(2, 6, 6, 1)))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
         out = conv2d(x, Tensor(k), stride=1, padding=1)
         assert np.array_equal(out.data, x.data)
 
     def test_kernel_larger_than_padded_input(self):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
+        x = Tensor(np.zeros((1, 2, 2, 1)))
         k = Tensor(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ShapeError, match="larger than padded input"):
             conv2d(x, k, stride=1, padding=0)
 
     def test_output_extent_formula(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 9, 7)))
+        x = Tensor(rng.normal(size=(1, 9, 7, 2)))
         k = Tensor(rng.normal(size=(3, 2, 3, 3)))
         out = conv2d(x, k, stride=2, padding=1)
-        assert out.shape == (1, 3, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+        assert out.shape == (1, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1, 3)
+
+    def test_bias_added_per_output_channel(self, rng):
+        x = Tensor(rng.normal(size=(2, 4, 4, 2)))
+        k = Tensor(np.zeros((3, 2, 3, 3)))
+        out = conv2d(x, k, Tensor([1.0, 2.0, 3.0]), stride=1, padding=1)
+        assert np.array_equal(out.data, np.broadcast_to([1.0, 2.0, 3.0], (2, 4, 4, 3)))
+
+    def test_bias_must_match_kernel_count(self):
+        x = Tensor(np.zeros((1, 4, 4, 1)))
+        k = Tensor(np.zeros((2, 1, 3, 3)))
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(x, k, Tensor(np.zeros(3)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -254,10 +268,29 @@ class TestFiniteDifferenceAgreement:
         params = ParamSet.from_named_arrays(
             [("conv1.weight", rng.uniform(-0.5, 0.5, (2, 2, 3, 3)))]
         )
-        x = rng.uniform(-1.0, 1.0, (2, 2, 7, 7))
+        x = rng.uniform(-1.0, 1.0, (2, 7, 7, 2))
 
         def loss_fn():
             return conv2d(Tensor(x), params.get("conv1.weight"), stride=2, padding=0).mean()
+
+        self._check(params, loss_fn)
+
+    def test_conv_bias_stride_two_padded(self, rng):
+        from sadtlab.nn import ParamSet
+
+        params = ParamSet.from_named_arrays(
+            [("conv1.weight", rng.uniform(-0.5, 0.5, (3, 2, 3, 3))),
+             ("conv1.bias", rng.uniform(-0.5, 0.5, 3))]
+        )
+        x = rng.uniform(-1.0, 1.0, (2, 7, 7, 2))
+        weights = Tensor(rng.uniform(-1.0, 1.0, (2, 4, 4, 3)))  # distinct per output cell
+
+        def loss_fn():
+            out = conv2d(
+                Tensor(x), params.get("conv1.weight"), params.get("conv1.bias"),
+                stride=2, padding=1,
+            )
+            return mul(out, weights).sum()
 
         self._check(params, loss_fn)
 
@@ -303,10 +336,12 @@ class TestFiniteDifferenceAgreement:
         from sadtlab.nn import ParamSet
 
         params = ParamSet.from_named_arrays([("conv1.weight", rng.uniform(-1.0, 1.0, (2, 1, 3, 3)))])
-        x = rng.uniform(-1.0, 1.0, (2, 1, 6, 6))
+        x = rng.uniform(-1.0, 1.0, (2, 6, 6, 1))
 
         def loss_fn():
-            return max_pool2x2(conv2d(Tensor(x), params.get("conv1.weight"), 1, 1)).sum()
+            return max_pool2x2(
+                conv2d(Tensor(x), params.get("conv1.weight"), stride=1, padding=1)
+            ).sum()
 
         self._check(params, loss_fn)
 
