@@ -52,7 +52,8 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
 
     All runs must share one dataset fingerprint and model architecture. The
     best accuracy per seed column is flagged with '*' in the text table and
-    the comparison CSV; aborted runs leave their cell empty.
+    the comparison CSV; aborted runs leave their cell empty, and so does the
+    mean of a strategy whose runs all aborted.
     """
     if len(run_dirs) < 2:
         raise CompareError("compare needs at least two runs")
@@ -88,7 +89,6 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
     for strat in strategies:
         values = [cells.get((strat, seed)) for seed in seeds]
         present = [v for v in values if v is not None]
-        mean = sum(present) / len(present) if present else float("nan")
         csv_cells = [strat]
         text_cells = [f"{strat:<10}"]
         for seed, v in zip(seeds, values):
@@ -99,8 +99,13 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
                 flag = "*" if best.get(seed) == strat else ""
                 csv_cells.append(f"{v:.6f}{flag}")
                 text_cells.append(f"{v:.4f}{flag:<1}".rjust(12))
-        csv_cells.append(f"{mean:.6f}")
-        text_cells.append(f"{mean:.4f}".rjust(12))
+        if present:
+            mean = sum(present) / len(present)
+            csv_cells.append(f"{mean:.6f}")
+            text_cells.append(f"{mean:.4f}".rjust(12))
+        else:  # every run aborted: no mean, shown like an aborted cell
+            csv_cells.append("")
+            text_cells.append(f"{'-':>12}")
         table_lines.append(",".join(csv_cells))
         text_lines.append("".join(text_cells))
     table_text = "\n".join(text_lines)

@@ -135,7 +135,7 @@ class Strategy:
     ) -> StepReport:
         transform, sam, teachers = PRESETS[self.id]
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
-        self._validate(model, sam, teachers, ascent_lr)
+        self._validate(model, sam, teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
         logits_w, task_loss, grads = _task_pass(model, batch)
         flags: tuple[str, ...] = ()
@@ -174,9 +174,12 @@ class Strategy:
         )
 
     def _validate(
-        self, model: Model, sam: bool, teachers: tuple[str, ...], ascent_lr: float
+        self, model: Model, sam: bool, teachers: tuple[str, ...], ascent_lr: float, noise_seed
     ) -> None:
         """Reject bad hyperparameters before the step changes any weight."""
+        if teachers and noise_seed is None:
+            # a fixed default would draw the same teacher noise at every step
+            raise ValueError(f"strategy {self.id!r} draws teacher noise and needs a noise_seed")
         if sam and self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if any(f in PARAM_FILTERS for f in teachers) and self.sigma_w < 0:
@@ -225,9 +228,7 @@ def _sam_ascent(
 
 
 def _noise_rngs(noise_seed, count: int) -> list[np.random.Generator]:
-    if noise_seed is None:
-        noise_seed = np.random.SeedSequence(0)
-    elif isinstance(noise_seed, int):
+    if isinstance(noise_seed, int):
         noise_seed = np.random.SeedSequence(noise_seed)
     return [np.random.default_rng(child) for child in noise_seed.spawn(count)]
 

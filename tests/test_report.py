@@ -33,4 +33,5 @@ class TestCompareRuns:
         assert report.best == {0: "baseline"}
         lines = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
         assert lines[:2] == ["strategy,seed_0,seed_1,mean", "baseline,0.500000*,,0.500000"]
-        assert lines[2].split(",")[:3] == ["sadt_v1", "", ""]
+        assert lines[2] == "sadt_v1,,,"
+        assert report.table_text.splitlines()[2].split() == ["sadt_v1", "-", "-", "-"]

@@ -389,17 +389,18 @@ class TestStrategyDispatch:
             ("sadt_v2", {"sigma_w": -0.1}, "sigma_w"),
             ("sadt_v3", {"sigma_g": -0.1}, "sigma_g"),
             ("sadt_v3", {"ascent_lr": -0.1}, "ascent_lr"),
+            ("sadt_v1", {"noise_seed": None}, "noise_seed"),
         ],
     )
     def test_bad_hyperparameters_rejected_before_any_update(self, strategy_id, fields, match):
+        fields = dict(fields)  # "noise_seed" goes to step, the rest to Strategy
+        noise_seed = fields.pop("noise_seed", np.random.SeedSequence(0))
         model = small_cnn(seed=23)
         batch = small_batch(seed=24)
         before = model.params.snapshot()
         state = AdamState(model.params)
         with pytest.raises(ValueError, match=match):
-            Strategy(strategy_id, **fields).step(
-                model, batch, state, 0.001, noise_seed=np.random.SeedSequence(0)
-            )
+            Strategy(strategy_id, **fields).step(model, batch, state, 0.001, noise_seed=noise_seed)
         assert snapshots_equal(model.params.snapshot(), before)
         assert state.t == 0
 
