@@ -315,7 +315,7 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (w + 2 * pad - kw) // stride + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # n,h_out,w_out,c,kh,kw: one gathering copy, columns ordered (c, kh, kw)
+    # one gathering copy; the (c, kh, kw) column order fixes the matmuls' sum order
     cols = win[:, ::stride, ::stride].reshape(n * h_out * w_out, c * kh * kw)
     return cols, h_out, w_out
 
@@ -383,7 +383,7 @@ def conv2d(
         gb = None
         if needs[2]:
             # batch first, then a pairwise sum over each channel's contiguous
-            # h_out*w_out values: the summation order of a channels-first layout
+            # h_out*w_out values; the golden fixture pins this summation order
             per_pixel = g.sum(axis=0).reshape(h_out * w_out, f)
             gb = np.ascontiguousarray(per_pixel.T).sum(axis=1)
         return gx, gk, gb
