@@ -1,0 +1,217 @@
+"""Experiment config: strict sections and keys, typed values, and a resolved
+rendering that parses back to the same config and the same text."""
+
+import configparser
+
+import pytest
+
+from sadtlab import cli
+from sadtlab.config import ConfigError, parse_config, resolved_text
+
+IDX = (
+    "[data]\ntrain_images = tr-img\ntrain_labels = tr-lbl\n"
+    "test_images = te-img\ntest_labels = te-lbl\n"
+)
+
+DEFAULT_RESOLVED = """\
+[data]
+format = idx
+train_images = tr-img
+train_labels = tr-lbl
+test_images = te-img
+test_labels = te-lbl
+train_files =
+test_files =
+train_size = 4096
+test_size = 1000
+num_classes = 10
+cutmix = true
+cutmix_alpha = 1.0
+
+[model]
+arch = simple_cnn
+init_seed = 0
+hidden_dims = 64
+
+[strategy]
+id = baseline
+rho = 0.05
+sigma_w = 0.0001
+sigma_g = 0.0001
+ascent_lr = schedule
+agc_lambda = 0.01
+rollback_to_w = false
+
+[train]
+epochs = 20
+batch_size = 64
+lr0 = 0.0001
+seed = 0
+probe_every = 5
+probe_rho = 0.05
+probe_batches = 2
+
+[output]
+dir = runs/run
+wall_times = false
+""".replace(" =\n", " = \n")  # an empty list renders as "key = " with a trailing space
+
+# every key set away from its default
+CUSTOM = """\
+[data]
+format = cifar10
+train_files = a.bin, b.bin
+test_files = t.bin
+train_size = 100
+test_size = 20
+num_classes = 4
+cutmix = no
+cutmix_alpha = 0.5
+[model]
+arch = tiny_mlp
+init_seed = 3
+hidden_dims = 32, 16
+[strategy]
+id = sadt_v3
+rho = 0.1
+sigma_w = 0.002
+sigma_g = 0.003
+ascent_lr = 0.02
+agc_lambda = 0.05
+rollback_to_w = yes
+[train]
+epochs = 3
+batch_size = 8
+lr0 = 0.01
+seed = 12
+probe_every = 0
+probe_rho = 0.1
+probe_batches = 1
+[output]
+dir = out/custom
+wall_times = on
+"""
+
+
+def parse(tmp_path, text, **overrides):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return parse_config(path, **overrides)
+
+
+def resolved(cfg) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(resolved_text(cfg))
+    return parser
+
+
+class TestResolvedText:
+    def test_default_resolve_config_output_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(IDX)
+        assert cli.main(["train", "--config", str(path), "--resolve-config"]) == 0
+        assert capsys.readouterr().out == DEFAULT_RESOLVED
+
+    @pytest.mark.parametrize("text", [IDX, CUSTOM], ids=["defaults", "custom"])
+    def test_round_trip_gives_equal_config_and_text(self, tmp_path, text):
+        cfg = parse(tmp_path, text)
+        again = parse(tmp_path, resolved_text(cfg))
+        assert again == cfg
+        assert resolved_text(again) == resolved_text(cfg)
+
+    def test_custom_values_are_rendered(self, tmp_path):
+        out = resolved(parse(tmp_path, CUSTOM))
+        assert out["data"]["train_files"] == "a.bin, b.bin"
+        assert out["data"]["cutmix"] == "false"
+        assert out["model"]["hidden_dims"] == "32, 16"
+        assert out["strategy"]["ascent_lr"] == "0.02"
+        assert out["strategy"]["rollback_to_w"] == "true"
+        assert out["output"]["wall_times"] == "true"
+
+    def test_schedule_ascent_lr_is_the_default(self, tmp_path):
+        default = parse(tmp_path, IDX)
+        schedule = parse(tmp_path, IDX + "[strategy]\nascent_lr = schedule\n")
+        fixed = parse(tmp_path, IDX + "[strategy]\nascent_lr = 0.02\n")
+        assert schedule == default
+        assert fixed != default
+        assert resolved(schedule)["strategy"]["ascent_lr"] == "schedule"
+
+
+class TestSeedsAndOverrides:
+    def test_init_seed_defaults_to_seed(self, tmp_path):
+        out = resolved(parse(tmp_path, IDX + "[train]\nseed = 7\n"))
+        assert (out["train"]["seed"], out["model"]["init_seed"]) == ("7", "7")
+
+    def test_explicit_init_seed_is_kept(self, tmp_path):
+        out = resolved(parse(tmp_path, IDX + "[model]\ninit_seed = 3\n[train]\nseed = 7\n"))
+        assert (out["train"]["seed"], out["model"]["init_seed"]) == ("7", "3")
+
+    def test_seed_override_also_seeds_init(self, tmp_path):
+        out = resolved(parse(tmp_path, IDX + "[train]\nseed = 7\n", seed=11))
+        assert (out["train"]["seed"], out["model"]["init_seed"]) == ("11", "11")
+
+    def test_seed_override_keeps_explicit_init_seed(self, tmp_path):
+        out = resolved(parse(tmp_path, IDX + "[model]\ninit_seed = 3\n", seed=11))
+        assert (out["train"]["seed"], out["model"]["init_seed"]) == ("11", "3")
+
+    def test_out_override(self, tmp_path):
+        text = IDX + "[output]\ndir = from/file\n"
+        assert resolved(parse(tmp_path, text, out_dir="from/cli"))["output"]["dir"] == "from/cli"
+
+
+class TestRejections:
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found"):
+            parse_config(tmp_path / "absent.ini")
+
+    def test_unknown_section(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown section \[optim\]"):
+            parse(tmp_path, IDX + "[optim]\nlr = 1\n")
+
+    def test_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown key 'lr' in \[train\]"):
+            parse(tmp_path, IDX + "[train]\nlr = 1\n")
+
+    @pytest.mark.parametrize(
+        "section, key, raw",
+        [
+            ("data", "cutmix", "maybe"),
+            ("train", "epochs", "two"),
+            ("train", "lr0", "fast"),
+            ("strategy", "ascent_lr", "auto"),
+            ("model", "hidden_dims", "8, x"),
+            ("model", "init_seed", "1.5"),
+        ],
+    )
+    def test_bad_value_names_section_and_key(self, tmp_path, section, key, raw):
+        text = IDX + f"[{section}]\n{key} = {raw}\n"
+        if section == "data":
+            text = IDX + f"{key} = {raw}\n"
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            parse(tmp_path, text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (IDX + "[strategy]\nid = sadt_v9\n", "strategy id 'sadt_v9'"),
+            (IDX + "[model]\narch = resnet\n", "invalid model arch 'resnet'"),
+            (IDX + "format = png\n", "invalid data format 'png'"),
+            ("[data]\ntrain_images = a\ntest_images = b\n",
+             r"missing dataset paths in \[data\]: train_labels, test_labels"),
+            ("[data]\nformat = cifar10\ntrain_files = a.bin\n",
+             r"missing dataset paths in \[data\]: train_files, test_files"),
+            (IDX + "[train]\nepochs = -1\n", "epochs must be >= 0"),
+            (IDX + "[train]\nprobe_every = -2\n", "probe_every must be >= 0"),
+            (IDX + "[train]\nbatch_size = 0\n", "batch_size must be >= 1"),
+            (IDX + "[train]\nprobe_batches = 0\n", "probe_batches must be >= 1"),
+            (IDX + "[model]\narch = tiny_mlp\n[strategy]\nid = sadt_v2\n",
+             "sadt_v2 needs a conv layer; tiny_mlp has none"),
+        ],
+        ids=[
+            "strategy-id", "arch", "format", "idx-paths", "cifar-files", "epochs",
+            "probe-every", "batch-size", "probe-batches", "mlp-sadt-v2",
+        ],
+    )
+    def test_invalid_config_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse(tmp_path, text)
