@@ -56,10 +56,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """A constant view of this tensor's values, off every tape."""
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -248,7 +244,13 @@ def reshape(t: Tensor, shape) -> Tensor:
 
 
 def transpose(t: Tensor, axes) -> Tensor:
-    """Axis permutation; the result is a view of ``t``'s values."""
+    """Axis permutation.
+
+    The result is a C-contiguous copy of ``t``'s values, since every tensor
+    is row-major. Only a permutation that leaves the values in row-major
+    order, such as the N x 1 x H x W -> N x H x W x 1 entry transpose of a
+    one-channel image, is a view.
+    """
     axes = tuple(int(a) for a in axes)
     inverse = tuple(np.argsort(axes))
 

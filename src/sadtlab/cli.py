@@ -77,9 +77,9 @@ def _cmd_train(args) -> int:
         print(resolved_text(cfg), end="")
         return 0
     log = run_experiment(cfg)
-    print(f"run complete: {cfg.strategy_id} seed={cfg.seed}")
+    print(f"run complete: {cfg.strategy.id} seed={cfg.train.seed}")
     print(f"final test accuracy {log.final_accuracy:.4f}, loss {log.final_loss:.4f}")
-    print(f"outputs in {cfg.out_dir}")
+    print(f"outputs in {cfg.output.dir}")
     return 0
 
 
@@ -93,17 +93,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from .metrics import estimate_sharpness, model_divergence
+    from .metrics import estimate_sharpness, model_divergence, probe_batches
     from .nn import load_checkpoint, model_from_params
 
     dataset = _resolve_probe_data(args.data)
     shape = dataset.images.shape[1:]
     model = model_from_params(load_checkpoint(args.checkpoint), input_shape=shape)
-    count = min(args.batches * args.batch_size, dataset.n)
-    batches = [
-        (dataset.images[i : i + args.batch_size], dataset.labels[i : i + args.batch_size])
-        for i in range(0, count, args.batch_size)
-    ]
+    batches = probe_batches(dataset, args.batches, args.batch_size)
     sharp = estimate_sharpness(model, batches, args.rho)
     result = {
         "sharpness": sharp.value,

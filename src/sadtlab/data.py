@@ -130,8 +130,6 @@ class MixedBatch:
     label_a: np.ndarray
     label_b: np.ndarray
     lam: float
-    seed: int | None = None
-    box: tuple[int, int, int, int] = (0, 0, 0, 0)  # y1, y2, x1, x2
 
     @classmethod
     def plain(cls, images: np.ndarray, labels: np.ndarray) -> "MixedBatch":
@@ -152,12 +150,13 @@ def cut_box(lam0: float, height: int, width: int, cx: int, cy: int) -> tuple[int
     return y1, y2, x1, x2
 
 
-def cutmix(images: np.ndarray, labels: np.ndarray, alpha: float, rng) -> MixedBatch:
+def cutmix(images: np.ndarray, labels: np.ndarray, alpha: float, seed: int) -> MixedBatch:
     """Paste one random box from a permuted partner batch into every image.
 
-    Draw order from ``rng``: partner permutation, Beta(alpha, alpha) ratio,
-    box center x, box center y. The reported lam is recomputed from the
-    clipped box so label weights always agree with surviving pixels.
+    Draw order from a generator seeded with ``seed``: partner permutation,
+    Beta(alpha, alpha) ratio, box center x, box center y. The reported lam is
+    recomputed from the clipped box so label weights always agree with
+    surviving pixels.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -165,10 +164,7 @@ def cutmix(images: np.ndarray, labels: np.ndarray, alpha: float, rng) -> MixedBa
     labels = np.asarray(labels, dtype=np.int64)
     if len(images) < 2:
         raise ValueError("cutmix needs a batch of at least 2 samples")
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     height, width = images.shape[2], images.shape[3]
     partner = rng.permutation(len(images))
     lam0 = float(rng.beta(alpha, alpha))
@@ -178,4 +174,4 @@ def cutmix(images: np.ndarray, labels: np.ndarray, alpha: float, rng) -> MixedBa
     mixed = images.copy()
     mixed[:, :, y1:y2, x1:x2] = images[partner, :, y1:y2, x1:x2]
     lam = 1.0 - ((y2 - y1) * (x2 - x1)) / (height * width)
-    return MixedBatch(mixed, labels.copy(), labels[partner].copy(), lam, seed, (y1, y2, x1, x2))
+    return MixedBatch(mixed, labels.copy(), labels[partner].copy(), lam)

@@ -4,8 +4,11 @@ All randomness is derived from the master seed through fixed spawn keys:
 batch order from (1, epoch), CutMix draws from (2, epoch, batch), strategy
 noise from (3, epoch, batch). Strategies therefore consume byte-identical
 batch streams for a shared seed, and identical configs reproduce identical
-logs. Wall-clock timings are kept out of the metric CSV (they are the one
-non-reproducible quantity) and go to an optional sidecar instead.
+logs, given the same BLAS thread count: OpenBLAS splits a matmul's sums by
+its thread count, so one config run with a different number of threads
+writes different floats. Wall-clock timings are kept out of the metric CSV
+(they are the one non-reproducible quantity) and go to an optional sidecar
+instead.
 """
 
 from __future__ import annotations
@@ -14,20 +17,20 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_fingerprint_fields, write_resolved
+from .config import (
+    DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields, resolved_text,
+)
 from .data import Dataset, MixedBatch, cutmix, load_cifar_binary, load_idx, make_batches
-from .metrics import estimate_sharpness, evaluate, model_divergence
+from .metrics import estimate_sharpness, evaluate, model_divergence, probe_batches
 from .nn import Model, build_simple_cnn, build_tiny_mlp, save_checkpoint
 from .optim import AdamState, Schedule, cosine_lr
-from .strategies import NonFiniteLossError, Strategy
-
-CSV_HEADER = "step,epoch,phase,task_loss,kl_loss,lr,grad_norm,accuracy,sharpness,divergence,wall_ms"
+from .strategies import NonFiniteLossError
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -54,12 +57,14 @@ class RunRow:
 
     def csv_line(self) -> str:
         cells = [str(self.step), str(self.epoch), self.phase]
-        for value in (
-            self.task_loss, self.kl_loss, self.lr, self.grad_norm,
-            self.accuracy, self.sharpness, self.divergence, self.wall_ms,
-        ):
+        for name in _VALUE_COLUMNS:
+            value = getattr(self, name)
             cells.append("" if value is None else repr(float(value)))
         return ",".join(cells)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunRow))
+_VALUE_COLUMNS = tuple(f.name for f in fields(RunRow))[3:]  # after step, epoch, phase
 
 
 @dataclass
@@ -75,21 +80,21 @@ class RunLog:
         return "\n".join([CSV_HEADER, *(row.csv_line() for row in self.rows)]) + "\n"
 
 
-def _load_dataset(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    if cfg.data_format == "idx":
-        train = load_idx(cfg.train_images, cfg.train_labels, cfg.num_classes)
-        test = load_idx(cfg.test_images, cfg.test_labels, cfg.num_classes)
+def _load_dataset(data: DataConfig) -> tuple[Dataset, Dataset]:
+    if data.format == "idx":
+        train = load_idx(data.train_images, data.train_labels, data.num_classes)
+        test = load_idx(data.test_images, data.test_labels, data.num_classes)
     else:
-        train = load_cifar_binary(cfg.train_files, cfg.num_classes)
-        test = load_cifar_binary(cfg.test_files, cfg.num_classes)
-    return train.subset(cfg.train_size), test.subset(cfg.test_size)
+        train = load_cifar_binary(data.train_files, data.num_classes)
+        test = load_cifar_binary(data.test_files, data.num_classes)
+    return train.subset(data.train_size), test.subset(data.test_size)
 
 
-def _build_model(cfg: ExperimentConfig, train: Dataset) -> Model:
+def _build_model(cfg: ModelConfig, train: Dataset) -> Model:
     shape = train.images.shape[1:]
     if cfg.arch == "simple_cnn":
-        return build_simple_cnn(shape, cfg.num_classes, cfg.init_seed)
-    return build_tiny_mlp(int(np.prod(shape)), cfg.hidden_dims, cfg.num_classes, cfg.init_seed)
+        return build_simple_cnn(shape, train.num_classes, cfg.init_seed)
+    return build_tiny_mlp(int(np.prod(shape)), cfg.hidden_dims, train.num_classes, cfg.init_seed)
 
 
 def _batch_hash(batch: MixedBatch) -> str:
@@ -112,10 +117,11 @@ def _file_digest(path) -> str:
 def dataset_fingerprint(cfg: ExperimentConfig) -> str:
     digest = hashlib.sha256()
     digest.update(json.dumps(config_fingerprint_fields(cfg), sort_keys=True).encode())
-    if cfg.data_format == "idx":
-        paths = [cfg.train_images, cfg.train_labels, cfg.test_images, cfg.test_labels]
+    data = cfg.data
+    if data.format == "idx":
+        paths = [data.train_images, data.train_labels, data.test_images, data.test_labels]
     else:
-        paths = [*cfg.train_files, *cfg.test_files]
+        paths = [*data.train_files, *data.test_files]
     for path in paths:
         digest.update(_file_digest(path).encode())
     return digest.hexdigest()
@@ -125,17 +131,6 @@ def _spawn(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def _probe_batches(train: Dataset, cfg: ExperimentConfig):
-    count = min(cfg.probe_batches * cfg.batch_size, train.n)
-    images = train.images[:count]
-    labels = train.labels[:count]
-    labeled = [
-        (images[i : i + cfg.batch_size], labels[i : i + cfg.batch_size])
-        for i in range(0, count, cfg.batch_size)
-    ]
-    return labeled, [img for img, _ in labeled]
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """Train per the config, logging every step, eval, and probe.
 
@@ -143,27 +138,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     final checkpoint into the output directory. A non-finite loss aborts the
     run after saving the last good checkpoint and flushing the log.
     """
-    out = Path(cfg.out_dir)
+    out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_resolved(cfg, out / RESOLVED_FILE)
+    (out / RESOLVED_FILE).write_text(resolved_text(cfg))
 
-    train, test = _load_dataset(cfg)
-    model = _build_model(cfg, train)
-    initial_model = Model(model.arch, model.params.clone(), model.input_shape)
-    strategy = Strategy(
-        id=cfg.strategy_id,
-        rho=cfg.rho,
-        sigma_w=cfg.sigma_w,
-        sigma_g=cfg.sigma_g,
-        ascent_lr=cfg.ascent_lr,
-        agc_lambda=cfg.agc_lambda,
-        rollback_to_w=cfg.rollback_to_w,
-    )
+    opts = cfg.train
+    seed, batch_size, epochs = opts.seed, opts.batch_size, opts.epochs
+    train, test = _load_dataset(cfg.data)
+    model = _build_model(cfg.model, train)
+    initial_model = model.clone()
     state = AdamState(model.params)
-    batches_per_epoch = (train.n + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = cfg.epochs * batches_per_epoch
-    schedule = Schedule(total_steps, cfg.lr0) if total_steps else None
-    sharp_batches, div_batches = _probe_batches(train, cfg)
+    batches_per_epoch = (train.n + batch_size - 1) // batch_size
+    total_steps = epochs * batches_per_epoch
+    schedule = Schedule(total_steps, opts.lr0) if total_steps else None
+    sharp_batches = probe_batches(train, opts.probe_batches, batch_size)
+    div_batches = [images for images, _ in sharp_batches]
 
     log = RunLog(cfg)
 
@@ -177,18 +166,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     eval_pair(0, 0)
     step = 0
     try:
-        for epoch in range(1, cfg.epochs + 1):
-            for i, idx in enumerate(make_batches(train, cfg.batch_size, _spawn(cfg.seed, 1, epoch))):
+        for epoch in range(1, epochs + 1):
+            for i, idx in enumerate(make_batches(train, batch_size, _spawn(seed, 1, epoch))):
                 images, labels = train.images[idx], train.labels[idx]
-                if cfg.cutmix and len(idx) >= 2:
-                    mix_seed = int(_spawn(cfg.seed, 2, epoch, i).generate_state(1)[0])
-                    batch = cutmix(images, labels, cfg.cutmix_alpha, mix_seed)
+                if cfg.data.cutmix and len(idx) >= 2:
+                    mix_seed = int(_spawn(seed, 2, epoch, i).generate_state(1)[0])
+                    batch = cutmix(images, labels, cfg.data.cutmix_alpha, mix_seed)
                 else:
                     batch = MixedBatch.plain(images, labels)
                 log.batch_hashes.append(_batch_hash(batch))
                 lr = cosine_lr(schedule, step)
-                report = strategy.step(
-                    model, batch, state, lr, noise_seed=_spawn(cfg.seed, 3, epoch, i)
+                report = cfg.strategy.step(
+                    model, batch, state, lr, noise_seed=_spawn(seed, 3, epoch, i)
                 )
                 step += 1
                 log.rows.append(
@@ -200,8 +189,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
                 )
                 log.wall_times.append((step, report.wall_ms))
             eval_pair(step, epoch)
-            if cfg.probe_every and epoch % cfg.probe_every == 0:
-                sharp = estimate_sharpness(model, sharp_batches, cfg.probe_rho)
+            if opts.probe_every and epoch % opts.probe_every == 0:
+                sharp = estimate_sharpness(model, sharp_batches, opts.probe_rho)
                 div = model_divergence(model, initial_model, div_batches)
                 log.rows.append(
                     RunRow(step, epoch, "probe", sharpness=sharp.value, divergence=div.value)
@@ -216,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
 
     final = evaluate(model, test)
     log.rows.append(
-        RunRow(step, cfg.epochs, "final_test", task_loss=final.mean_loss, accuracy=final.accuracy)
+        RunRow(step, epochs, "final_test", task_loss=final.mean_loss, accuracy=final.accuracy)
     )
     log.final_accuracy = final.accuracy
     log.final_loss = final.mean_loss
@@ -232,12 +221,12 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
     hash_digest = hashlib.sha256("".join(log.batch_hashes).encode()).hexdigest()
     summary = {
         "version": __version__,
-        "strategy": cfg.strategy_id,
-        "arch": cfg.arch,
-        "seed": cfg.seed,
-        "init_seed": cfg.init_seed,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
+        "strategy": cfg.strategy.id,
+        "arch": cfg.model.arch,
+        "seed": cfg.train.seed,
+        "init_seed": cfg.model.init_seed,
+        "epochs": cfg.train.epochs,
+        "batch_size": cfg.train.batch_size,
         "steps": sum(1 for r in log.rows if r.phase == "step"),
         "dataset_fingerprint": dataset_fingerprint(cfg),
         "batch_stream_digest": hash_digest,
@@ -246,7 +235,7 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
         "aborted": aborted,
     }
     (out / SUMMARY_FILE).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    if cfg.wall_times:
+    if cfg.output.wall_times:
         lines = ["step,wall_ms"]
         lines += [f"{s},{ms:.3f}" for s, ms in log.wall_times]
         (out / WALL_TIMES_FILE).write_text("\n".join(lines) + "\n")
@@ -260,8 +249,7 @@ def load_run(run_dir) -> dict:
     with open(run_dir / METRICS_FILE, newline="") as fh:
         for raw in csv.DictReader(fh):
             row = {"step": int(raw["step"]), "epoch": int(raw["epoch"]), "phase": raw["phase"]}
-            for key in ("task_loss", "kl_loss", "lr", "grad_norm", "accuracy",
-                        "sharpness", "divergence", "wall_ms"):
+            for key in _VALUE_COLUMNS:
                 row[key] = float(raw[key]) if raw[key] else None
             rows.append(row)
     return {"dir": str(run_dir), "summary": summary, "rows": rows}

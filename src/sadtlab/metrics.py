@@ -18,8 +18,6 @@ from .data import Dataset
 from .nn import Model, ParamSet
 from .optim import GradSet
 
-DEFAULT_PROBE_RHO = 0.05
-
 
 @dataclass
 class SharpnessEstimate:
@@ -67,6 +65,17 @@ def _hard_label_loss(model: Model, images: np.ndarray, labels: np.ndarray) -> Te
     logits = model.forward(Tensor(images))
     targets = np.eye(model.num_classes, dtype=np.float64)[np.asarray(labels, dtype=np.int64)]
     return softmax_cross_entropy(logits, Tensor(targets))
+
+
+def probe_batches(
+    dataset: Dataset, batches: int, batch_size: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The first ``batches`` batches of ``dataset`` in order, as (images, labels)."""
+    count = min(batches * batch_size, dataset.n)
+    return [
+        (dataset.images[i : i + batch_size], dataset.labels[i : i + batch_size])
+        for i in range(0, count, batch_size)
+    ]
 
 
 def estimate_sharpness(

@@ -39,14 +39,6 @@ def _curve(rows: list[dict], phase: str, key: str) -> tuple[list[int], list[floa
     return xs, ys
 
 
-def epochs_to_reach(rows: list[dict], target_accuracy: float) -> int | None:
-    """First epoch whose test evaluation reaches the target accuracy."""
-    for epoch, acc in zip(*_curve(rows, "eval_test", "accuracy")):
-        if epoch >= 1 and acc >= target_accuracy:
-            return epoch
-    return None
-
-
 def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
     """Tabulate final test accuracies across runs and emit aligned curves.
 
