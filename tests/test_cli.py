@@ -1,0 +1,90 @@
+"""``sadtlab`` end to end: make-data, train two strategies, probe one final
+checkpoint against the other, compare the two runs.
+
+``make-data`` has no size option, so the set is 28x28 but tiny (48 train and
+16 test samples, 3 classes), and each run is one epoch of three batches. The
+probe rebuilds both models from their checkpoints alone
+(``nn.model_from_params``), which no other test drives through the CLI. Its
+values pin the numerics of one BLAS thread, which ``conftest.py`` sets.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from sadtlab import cli
+
+STRATEGIES = ("baseline", "sadt_v1")
+
+# float.hex of the probe JSON: sharpness of baseline's final checkpoint and its
+# divergence from sadt_v1's, on one batch of 16 test images
+PROBE = {
+    "sharpness": "0x1.c100429980fecp+0",
+    "rho": "0x1.999999999999ap-5",
+    "batches": 1,
+    "zero_grad_batches": 0,
+    "divergence": "0x1.1f861740e944bp-1",
+    "divergence_samples": 16,
+}
+
+
+def _config(strategy_id: str) -> str:
+    return (
+        "[data]\n"
+        "train_images = data/train-images-idx3-ubyte\n"
+        "train_labels = data/train-labels-idx1-ubyte\n"
+        "test_images = data/t10k-images-idx3-ubyte\n"
+        "test_labels = data/t10k-labels-idx1-ubyte\n"
+        "train_size = 48\ntest_size = 16\nnum_classes = 3\n"
+        f"[strategy]\nid = {strategy_id}\n"
+        "[train]\nepochs = 1\nbatch_size = 16\nlr0 = 0.003\nseed = 4\nprobe_every = 0\n"
+        f"[output]\ndir = runs/{strategy_id}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    """Every command's exit code and stdout, run in order in one scratch
+    directory."""
+    root = tmp_path_factory.mktemp("cli")
+    commands = {
+        "make-data": ["make-data", "--out", "data", "--train-n", "48", "--test-n", "16",
+                      "--classes", "3", "--seed", "2"],
+        **{f"train {sid}": ["train", "--config", f"{sid}.ini"] for sid in STRATEGIES},
+        "probe": ["probe", "--checkpoint", "runs/baseline/final.ckpt", "--data", "data",
+                  "--batches", "1", "--batch-size", "16",
+                  "--against", "runs/sadt_v1/final.ckpt"],
+        "compare": ["compare", "--logs", *(f"runs/{sid}" for sid in STRATEGIES), "--out", "cmp"],
+    }
+    codes, stdout = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for sid in STRATEGIES:
+            Path(f"{sid}.ini").write_text(_config(sid))
+        for name, argv in commands.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                codes[name] = cli.main(argv)
+            stdout[name] = buf.getvalue()
+    return root, codes, stdout
+
+
+def test_every_command_succeeds(session):
+    _, codes, _ = session
+    assert codes == dict.fromkeys(codes, 0)
+
+
+def test_probe_values_are_pinned(session):
+    _, _, stdout = session
+    result = json.loads(stdout["probe"])
+    assert {k: v.hex() if isinstance(v, float) else v for k, v in result.items()} == PROBE
+
+
+def test_comparison_lists_both_strategies(session):
+    root, _, _ = session
+    lines = (root / "cmp" / "comparison.csv").read_text().splitlines()
+    assert lines[0] == "strategy,seed_4,mean"
+    assert [line.split(",")[0] for line in lines[1:]] == list(STRATEGIES)
