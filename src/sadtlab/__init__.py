@@ -16,7 +16,6 @@ from .autodiff import (
     backward,
     conv2d,
     kl_divergence,
-    log_softmax,
     matmul,
     max_pool2x2,
     relu,
@@ -51,7 +50,7 @@ from .strategies import STRATEGY_IDS, StepReport, StepTrace, Strategy
 __all__ = [
     "__version__",
     "ShapeError", "Tape", "TapeError", "Tensor", "backward", "conv2d",
-    "kl_divergence", "log_softmax", "matmul", "max_pool2x2", "relu",
+    "kl_divergence", "matmul", "max_pool2x2", "relu",
     "softmax_cross_entropy",
     "Dataset", "MixedBatch", "cutmix", "load_cifar_binary", "load_idx",
     "make_batches",

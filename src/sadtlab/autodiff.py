@@ -7,7 +7,9 @@ in reverse append order exactly once.
 
 Image tensors are channels last (N x H x W x C) throughout the convolution
 and pooling ops: the im2col matmul produces its rows in that order, so a
-conv's output and its incoming gradient need no layout copy.
+conv's output and its incoming gradient need no layout copy. Convolutions
+have the one geometry the models use: stride 1 and zero "same" padding from
+an odd, square kernel, so a conv keeps its input's spatial extent.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import threading
 from typing import Callable
 
 import numpy as np
-
-EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -61,22 +61,6 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return tensor_mean(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -276,15 +260,6 @@ def tensor_sum(t: Tensor) -> Tensor:
     return _apply(np.sum(t.data), (t,), bw)
 
 
-def tensor_mean(t: Tensor) -> Tensor:
-    n = t.data.size
-
-    def bw(g, needs):
-        return (np.full(t.data.shape, float(g) / n),)
-
-    return _apply(np.sum(t.data) / n, (t,), bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Standard matrix product of two rank-2 tensors."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -307,51 +282,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(xd: np.ndarray, k: int) -> np.ndarray:
     n, h, w, c = xd.shape
-    if pad:
-        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-        xp[:, pad : pad + h, pad : pad + w, :] = xd
-    else:
-        xp = xd
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    pad = k // 2
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad : pad + h, pad : pad + w, :] = xd
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     # one gathering copy; the (c, kh, kw) column order fixes the matmuls' sum order
-    cols = win[:, ::stride, ::stride].reshape(n * h_out * w_out, c * kh * kw)
-    return cols, h_out, w_out
+    return win.reshape(n * h * w, c * k * k)
 
 
-def _col2im(gcols, xshape, kh, kw, stride, pad, h_out, w_out) -> np.ndarray:
+def _col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
     n, h, w, c = xshape
-    gwin = gcols.reshape(n, h_out, w_out, c, kh, kw)
+    pad = k // 2
+    gwin = gcols.reshape(n, h, w, c, k, k)
     gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    # overlapping windows accumulate through kh*kw strided adds, fixed order
-    for i in range(kh):
-        for j in range(kw):
-            gp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride, :] += (
-                gwin[:, :, :, :, i, j]
-            )
-    if pad:
-        return gp[:, pad : pad + h, pad : pad + w, :]
-    return gp
+    # overlapping windows accumulate through k*k shifted adds, fixed order
+    for i in range(k):
+        for j in range(k):
+            gp[:, i : i + h, j : j + w, :] += gwin[:, :, :, :, i, j]
+    return gp[:, pad : pad + h, pad : pad + w, :]
 
 
-def conv2d(
-    x: Tensor,
-    kernel: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D cross-correlation (no kernel flip), zero padding, optional bias.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """2-D cross-correlation (no kernel flip), stride 1, optional bias.
 
-    Channels last: x is N x H x W x C and the output N x H_out x W_out x F,
-    so the im2col matmul's rows are already the output's memory order and
-    neither the output nor the incoming gradient is transposed. kernel is
-    F x C x kh x kw, bias (if given) has F entries and is added per output
-    channel. Output spatial extent is floor((H + 2*padding - kh)/stride) + 1,
-    same with W.
+    Channels last: x is N x H x W x C and the output N x H x W x F, so the
+    im2col matmul's rows are already the output's memory order and neither
+    the output nor the incoming gradient is transposed. kernel is
+    F x C x k x k with k odd; the input is zero-padded by k // 2 on each
+    side ("same" padding), so the output keeps the input's H and W. bias
+    (if given) has F entries and is added per output channel.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
@@ -359,34 +320,28 @@ def conv2d(
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape}, kernel {kernel.shape}")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd, square kernel, got {kh}x{kw}")
     if bias is not None and bias.shape != (f,):
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
-        raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
-        )
 
-    cols, h_out, w_out = _im2col(x.data, kh, kw, stride, padding)
+    cols = _im2col(x.data, kh)
     wmat = kernel.data.reshape(f, c * kh * kw)
-    out = (cols @ wmat.T).reshape(n, h_out, w_out, f)
+    out = (cols @ wmat.T).reshape(n, h, w, f)
     if bias is not None:
         out += bias.data
 
     def bw(g, needs):
         gm = g.reshape(-1, f)
         gk = (gm.T @ cols).reshape(kernel.data.shape) if needs[1] else None
-        gx = None
-        if needs[0]:
-            gx = _col2im(gm @ wmat, x.data.shape, kh, kw, stride, padding, h_out, w_out)
+        gx = _col2im(gm @ wmat, x.data.shape, kh) if needs[0] else None
         if bias is None:
             return gx, gk
         gb = None
         if needs[2]:
             # batch first, then a pairwise sum over each channel's contiguous
-            # h_out*w_out values; the golden fixture pins this summation order
-            per_pixel = g.sum(axis=0).reshape(h_out * w_out, f)
+            # h*w values; the golden fixture pins this summation order
+            per_pixel = g.sum(axis=0).reshape(h * w, f)
             gb = np.ascontiguousarray(per_pixel.T).sum(axis=1)
         return gx, gk, gb
 
@@ -446,23 +401,6 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax with max subtraction, plain numpy."""
     shifted = x - x.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def log_softmax(t: Tensor) -> Tensor:
-    """Row-wise log-softmax of an N x C tensor."""
-    if t.data.ndim != 2:
-        raise ShapeError(f"log_softmax expects rank-2 input, got {t.shape}")
-    out = log_softmax_rows(t.data)
-
-    def bw(g, needs):
-        p = np.exp(out)
-        return (g - p * g.sum(axis=1, keepdims=True),)
-
-    return _apply(out, (t,), bw)
-
-
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax_rows(x))
 
 
 def softmax_cross_entropy(logits: Tensor, target_dist: Tensor) -> Tensor:

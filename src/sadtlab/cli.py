@@ -141,7 +141,16 @@ def main(argv: list[str] | None = None) -> int:
         "probe": _cmd_probe,
         "make-data": _cmd_make_data,
     }
-    return handlers[args.command](args)
+    from .config import ConfigError
+    from .data import DataFormatError
+    from .nn import CheckpointError
+
+    try:
+        return handlers[args.command](args)
+    except (ConfigError, DataFormatError, CheckpointError) as exc:
+        # bad input files: one line, and argparse's exit code for bad usage
+        print(f"sadtlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

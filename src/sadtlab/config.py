@@ -130,7 +130,12 @@ def _validate(cfg: ExperimentConfig) -> None:
 def parse_config(path, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
     """Parse and fully resolve a config file; CLI overrides applied last."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # e.g. a key before the first section, or a key or section given twice;
+        # configparser's messages can span lines, the CLI prints one
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = ExperimentConfig()

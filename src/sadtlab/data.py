@@ -94,10 +94,9 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     return Dataset(pixels.astype(np.float64) / 255.0, labels, num_classes)
 
 
-def load_cifar_binary(paths, num_classes: int = 10) -> Dataset:
-    """Load CIFAR-10 style binary files (3073-byte records, plane-major RGB)."""
-    if isinstance(paths, (str, bytes)) or not hasattr(paths, "__iter__"):
-        paths = [paths]
+def load_cifar_binary(paths: list, num_classes: int = 10) -> Dataset:
+    """Load a list of CIFAR-10 style binary files (3073-byte records,
+    plane-major RGB) as one dataset, in list order."""
     images, labels = [], []
     for path in paths:
         with open(path, "rb") as fh:

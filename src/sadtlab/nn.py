@@ -91,16 +91,10 @@ class ParamSet:
     def total_count(self) -> int:
         return sum(e.tensor.size for e in self.entries)
 
-    def last_conv_layer(self) -> str | None:
-        layers = [e.layer for e in self.entries if e.kind == "conv"]
-        return layers[-1] if layers else None
-
-    def last_dense_layer(self) -> str | None:
-        layers = [e.layer for e in self.entries if e.kind == "dense"]
-        return layers[-1] if layers else None
-
-    def layer_entries(self, layer: str) -> list[ParamEntry]:
-        return [e for e in self.entries if e.layer == layer]
+    def layers(self, kind: str) -> list[str]:
+        """Names of the layers whose weights are of ``kind`` ("conv" or
+        "dense"), in parameter order."""
+        return list(dict.fromkeys(e.layer for e in self.entries if e.kind == kind))
 
     def clone(self) -> "ParamSet":
         return ParamSet(
@@ -129,16 +123,20 @@ class ParamSet:
 
 
 class Model:
-    """Architecture id plus a ParamSet and a deterministic forward rule."""
+    """A ParamSet plus the deterministic forward rule its layers imply.
 
-    def __init__(self, arch: str, params: ParamSet, input_shape: tuple[int, ...]):
-        self.arch = arch
+    With any conv layers, the forward runs each conv layer as conv, ReLU,
+    2x2 pool, then flattens into the dense stack; without, it flattens the
+    input straight into the dense stack. Layers run in parameter order.
+    """
+
+    def __init__(self, params: ParamSet, input_shape: tuple[int, ...]):
         self.params = params
         self.input_shape = input_shape  # (C, H, W) or (input_dim,)
 
     def forward(self, images: Tensor) -> Tensor:
         """Raw pre-softmax logits for a batch, recorded on the active tape."""
-        if self.arch == "simple_cnn":
+        if self.params.layers("conv"):
             return self._forward_cnn(images)
         return self._forward_mlp(images)
 
@@ -152,11 +150,10 @@ class Model:
                 f"expected batch of shape N x {self.input_shape}, got {images.shape}"
             )
         x = transpose(images, (0, 2, 3, 1))
-        for layer in self._conv_layers():
+        for layer in self.params.layers("conv"):
             w = self.params.get(f"{layer}.weight")
             b = self.params.get(f"{layer}.bias")
-            kh = w.shape[2]
-            x = conv2d(x, w, b, stride=1, padding=kh // 2)
+            x = conv2d(x, w, b)
             x = relu(x)
             x = max_pool2x2(x)
         x = transpose(x, (0, 3, 1, 2))
@@ -174,7 +171,7 @@ class Model:
         return self._dense_stack(x)
 
     def _dense_stack(self, x: Tensor) -> Tensor:
-        layers = self._dense_layers()
+        layers = self.params.layers("dense")
         for i, layer in enumerate(layers):
             w = self.params.get(f"{layer}.weight")
             b = self.params.get(f"{layer}.bias")
@@ -185,27 +182,13 @@ class Model:
                 x = relu(x)
         return x
 
-    def _conv_layers(self) -> list[str]:
-        seen: list[str] = []
-        for e in self.params.entries:
-            if e.kind == "conv" and e.layer not in seen:
-                seen.append(e.layer)
-        return seen
-
-    def _dense_layers(self) -> list[str]:
-        seen: list[str] = []
-        for e in self.params.entries:
-            if e.kind == "dense" and e.layer not in seen:
-                seen.append(e.layer)
-        return seen
-
     @property
     def num_classes(self) -> int:
-        last = self._dense_layers()[-1]
+        last = self.params.layers("dense")[-1]
         return self.params.get(f"{last}.weight").shape[1]
 
     def clone(self) -> "Model":
-        return Model(self.arch, self.params.clone(), self.input_shape)
+        return Model(self.params.clone(), self.input_shape)
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -238,7 +221,7 @@ def build_simple_cnn(
     for i in range(1, len(dims)):
         named.append((f"dense{i}.weight", _he_uniform(rng, (dims[i - 1], dims[i]), dims[i - 1])))
         named.append((f"dense{i}.bias", np.zeros(dims[i])))
-    return Model("simple_cnn", ParamSet.from_named_arrays(named), (c, h, w))
+    return Model(ParamSet.from_named_arrays(named), (c, h, w))
 
 
 def build_tiny_mlp(
@@ -253,25 +236,22 @@ def build_tiny_mlp(
     for i in range(1, len(dims)):
         named.append((f"dense{i}.weight", _he_uniform(rng, (dims[i - 1], dims[i]), dims[i - 1])))
         named.append((f"dense{i}.bias", np.zeros(dims[i])))
-    return Model("tiny_mlp", ParamSet.from_named_arrays(named), (dims[0],))
+    return Model(ParamSet.from_named_arrays(named), (dims[0],))
 
 
 def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = None) -> Model:
     """Rebuild a model from parameters alone, e.g. a loaded checkpoint.
 
-    Any conv entries imply the conv/pool/dense forward rule; an all-dense set
-    is treated as an MLP. The input shape is inferred from the first layer
-    when not given (conv kernels fix channels only, so H and W are required
-    for CNNs).
+    The forward rule follows from the layers (see :class:`Model`). The input
+    shape is inferred from the first layer when not given (conv kernels fix
+    channels only, so H and W are required for CNNs).
     """
-    has_conv = any(e.kind == "conv" for e in params.entries)
-    if has_conv:
+    if params.layers("conv"):
         if input_shape is None:
             raise ValueError("input_shape (C, H, W) is required to rebuild a conv model")
-        return Model("simple_cnn", params, tuple(int(v) for v in input_shape))
-    first = next(e for e in params.entries if e.kind == "dense")
-    dim = params.get(f"{first.layer}.weight").shape[0]
-    return Model("tiny_mlp", params, (dim,))
+        return Model(params, tuple(int(v) for v in input_shape))
+    first = params.layers("dense")[0]
+    return Model(params, (params.get(f"{first}.weight").shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +280,10 @@ def load_checkpoint(path) -> ParamSet:
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic in {path}")
     offset = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, offset)
+    try:
+        (version,) = struct.unpack_from("<I", blob, offset)
+    except struct.error as exc:
+        raise CheckpointError(f"truncated checkpoint {path}: {exc}") from exc
     offset += 4
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")

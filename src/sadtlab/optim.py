@@ -240,10 +240,10 @@ def _noise_targets(target, layer_filter: str) -> list[tuple[str, np.ndarray]]:
             raise NoiseError(f"filter {layer_filter!r} does not apply to parameters")
         if layer_filter == "all":
             return [(e.name, e.tensor.data) for e in target.entries]
-        layer = target.last_conv_layer() if layer_filter == "last-conv" else target.last_dense_layer()
-        if layer is None:
+        layers = target.layers("conv" if layer_filter == "last-conv" else "dense")
+        if not layers:
             raise NoiseError(f"filter {layer_filter!r} selects nothing in this model")
-        return [(e.name, e.tensor.data) for e in target.layer_entries(layer)]
+        return [(e.name, e.tensor.data) for e in target.entries if e.layer == layers[-1]]
     if isinstance(target, GradSet):
         if layer_filter not in GRAD_FILTERS:
             raise NoiseError(f"filter {layer_filter!r} does not apply to gradients")

@@ -189,7 +189,7 @@ class Strategy:
                 raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
             if ascent_lr < 0:
                 raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
-        if "last-conv" in teachers and model.params.last_conv_layer() is None:
+        if "last-conv" in teachers and not model.params.layers("conv"):
             raise ValueError(f"{self.id} requires an architecture with a conv layer")
 
     def _perturb(

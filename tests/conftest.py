@@ -54,4 +54,4 @@ def tiny_conv_model():
         ("dense1.weight", gen.uniform(-0.5, 0.5, (2 * 4 * 4, 3))),
         ("dense1.bias", gen.uniform(-0.5, 0.5, 3)),
     ]
-    return Model("simple_cnn", ParamSet.from_named_arrays(named), (1, 8, 8))
+    return Model(ParamSet.from_named_arrays(named), (1, 8, 8))

@@ -2,6 +2,7 @@
 rendering that parses back to the same config and the same text."""
 
 import configparser
+import re
 
 import pytest
 
@@ -215,3 +216,35 @@ class TestRejections:
     def test_invalid_config_rejected(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):
             parse(tmp_path, text)
+
+
+UNPARSABLE = [
+    (b"seed = 1\n" + IDX.encode(), "File contains no section headers"),
+    (IDX.encode() + b"[train]\nseed = 1\nseed = 2\n",
+     "option 'seed' in section 'train' already exists"),
+    (IDX.encode() + b"[train]\nseed = 1\n[train]\nepochs = 2\n",
+     "section 'train' already exists"),
+    (b"\xff\xfe" + IDX.encode(), "can't decode byte 0xff"),
+]
+UNPARSABLE_IDS = ["missing-section-header", "duplicate-key", "duplicate-section", "not-utf8"]
+
+
+class TestUnparsableFile:
+    @pytest.mark.parametrize("blob, message", UNPARSABLE, ids=UNPARSABLE_IDS)
+    def test_raises_config_error_naming_the_file(self, tmp_path, blob, message):
+        path = tmp_path / "run.ini"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"cannot parse config {path}: ")
+
+    @pytest.mark.parametrize("blob, message", UNPARSABLE, ids=UNPARSABLE_IDS)
+    def test_cli_prints_one_error_line_and_returns_2(self, tmp_path, capsys, blob, message):
+        path = tmp_path / "run.ini"
+        path.write_bytes(blob)
+        assert cli.main(["train", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sadtlab: error: cannot parse config {path}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

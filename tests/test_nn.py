@@ -43,8 +43,8 @@ class TestBuildSimpleCnn:
     def test_layer_kinds_and_last_layers(self):
         model = build_simple_cnn((1, 28, 28), 10, seed=0)
         params = model.params
-        assert params.last_conv_layer() == "conv3"
-        assert params.last_dense_layer() == "dense3"
+        assert params.layers("conv") == ["conv1", "conv2", "conv3"]
+        assert params.layers("dense") == ["dense1", "dense2", "dense3"]
         assert params.entry("conv2.weight").kind == "conv"
         assert params.entry("conv2.bias").kind == "bias"
         assert params.entry("dense1.weight").kind == "dense"
