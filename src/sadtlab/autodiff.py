@@ -3,7 +3,11 @@
 A fresh :class:`Tape` is opened per forward pass; operations record onto the
 innermost active tape whenever a participating tensor needs gradients. A tape
 is consumed by a single :func:`backward` call, which walks the recorded nodes
-in reverse append order exactly once.
+in reverse append order exactly once. A consumed tape's graph (each node's
+parents and backward function, and with them the pass's activations and
+im2col columns) is released at the next :func:`backward` on the same thread,
+so reference counting frees it; the most recently consumed graph stays alive
+until then. ``tape.nodes`` itself is kept.
 
 Image tensors are channels last (N x H x W x C) throughout the convolution
 and pooling ops: the im2col matmul produces its rows in that order, so a
@@ -137,6 +141,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns gradients for every leaf tensor (``requires_grad=True``) reached
     from the loss. Leaves not on any path to the loss are simply absent.
+    Afterwards it releases the graph of the tape consumed before this one on
+    the same thread; this tape's graph is released by the next call.
     """
     if loss.node is None:
         raise TapeError("loss is not recorded on any tape")
@@ -165,6 +171,16 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             elif parent.requires_grad:
                 held = leaf_grads.get(parent)
                 leaf_grads[parent] = np.array(pgrad) if held is None else held + pgrad
+    # One tape behind, not this one: a whole pass freed at once goes back to the
+    # OS and the next pass faults it in again. The older graph freed here sits
+    # below the newer pass's buffers in the heap and is reused warm (28x28,
+    # batch 64: 10.7k-21k minor faults per baseline/sadt step against 0-3.6k).
+    previous = getattr(_ACTIVE, "consumed", None)
+    if previous is not None:
+        for node in previous.nodes:
+            node.parents = ()
+            node.backward_fn = None
+    _ACTIVE.consumed = tape
     return leaf_grads
 
 

@@ -148,9 +148,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigError, DataFormatError, CheckpointError) as exc:
-        # bad input files: one line, and argparse's exit code for bad usage
-        print(f"sadtlab: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:  # a missing or unreadable file
+        message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+    # bad or missing files: one line, and argparse's exit code for bad usage
+    print(f"sadtlab: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

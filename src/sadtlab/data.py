@@ -18,7 +18,13 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
 
 class DataFormatError(ValueError):
-    """Malformed dataset file: bad magic, truncation, or count mismatch."""
+    """Malformed dataset file: bad magic, truncation, count mismatch, or a
+    label outside the class range."""
+
+
+def _check_labels(labels: np.ndarray, path, num_classes: int) -> None:
+    if len(labels) and labels.max() >= num_classes:
+        raise DataFormatError(f"{path}: label {labels.max()} outside [0, {num_classes})")
 
 
 @dataclass
@@ -91,6 +97,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     labels = np.frombuffer(lblob, dtype=np.uint8, offset=loff).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 0
+    _check_labels(labels, labels_path, num_classes)
     return Dataset(pixels.astype(np.float64) / 255.0, labels, num_classes)
 
 
@@ -106,6 +113,7 @@ def load_cifar_binary(paths: list, num_classes: int = 10) -> Dataset:
                 f"{path}: length {len(blob)} is not a multiple of {CIFAR_RECORD_BYTES}"
             )
         records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        _check_labels(records[:, 0], path, num_classes)
         labels.append(records[:, 0].astype(np.int64))
         images.append(records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0)
     return Dataset(np.concatenate(images), np.concatenate(labels), num_classes)

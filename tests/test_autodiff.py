@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -233,6 +235,35 @@ class TestBackward:
         backward(loss)
         assert visited == sorted(visited, reverse=True)
         assert len(visited) == len(set(visited))
+
+    def test_graph_released_at_next_backward(self, rng):
+        """A pass's intermediates are freed by refcount one backward later,
+        with the cyclic garbage collector off."""
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = mul(w, v)
+                loss = relu(hidden).sum()
+            probe = weakref.ref(hidden.data)
+            del hidden
+            grads = backward(loss)
+            kept = {t: g.copy() for t, g in grads.items()}
+            nodes = len(tape.nodes)
+            assert probe() is not None  # the latest graph lives until the next backward
+            with Tape():
+                backward(mul(w, w).sum())
+            assert probe() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert grads.keys() == kept.keys()
+        assert all(np.array_equal(grads[t], kept[t]) for t in kept)
+        assert len(tape.nodes) == nodes
+        with pytest.raises(TapeError, match="already ran"):
+            backward(loss)
 
 
 class TestFiniteDifferenceAgreement:

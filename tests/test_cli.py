@@ -88,3 +88,13 @@ def test_comparison_lists_both_strategies(session):
     lines = (root / "cmp" / "comparison.csv").read_text().splitlines()
     assert lines[0] == "strategy,seed_4,mean"
     assert [line.split(",")[0] for line in lines[1:]] == list(STRATEGIES)
+
+
+def test_missing_dataset_file_prints_one_error_line(tmp_path, capsys):
+    config = tmp_path / "missing.ini"
+    config.write_text(_config("baseline").replace("data/", f"{tmp_path}/absent/"))
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    missing = tmp_path / "absent" / "train-images-idx3-ubyte"
+    assert captured.err == f"sadtlab: error: {missing}: No such file or directory\n"

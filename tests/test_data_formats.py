@@ -3,6 +3,9 @@ an IDX image or label file, and every CIFAR prefix off a record boundary
 raises ``CheckpointError`` or ``DataFormatError``, never a stray
 ``struct.error``, ``IndexError`` or the like.
 
+A label byte outside ``[0, num_classes)`` is a ``DataFormatError`` naming the
+file too, not the bare ``ValueError`` of ``Dataset``.
+
 Checkpoint format v1 carries no entry count, so a file cut exactly between
 two entries, or right after the header, still loads: as the shorter set of
 the entries before the cut. Detecting that is left for checkpoint v2.
@@ -89,3 +92,46 @@ class TestCifarPrefixes:
             cut.write_bytes(blob[:length])
             with pytest.raises(DataFormatError):
                 load_cifar_binary([cut])
+
+
+class TestLabelRange:
+    def _idx_with_label(self, root, label: int) -> dict[str, str]:
+        paths = synth.generate_dataset_files(root, 6, 2, 3, 8, 8, seed=1)
+        blob = bytearray(Path(paths["train_labels"]).read_bytes())
+        blob[8 + 4] = label  # the fifth label, after the 8-byte header
+        Path(paths["train_labels"]).write_bytes(bytes(blob))
+        return paths
+
+    def test_idx_label_outside_num_classes(self, tmp_path):
+        paths = self._idx_with_label(tmp_path, 200)
+        with pytest.raises(DataFormatError, match=r"train-labels-idx1-ubyte: label 200 outside \[0, 3\)"):
+            load_idx(paths["train_images"], paths["train_labels"], num_classes=3)
+        # without num_classes the class count is inferred from the labels
+        assert load_idx(paths["train_images"], paths["train_labels"]).num_classes == 201
+
+    def test_cifar_label_outside_num_classes(self, tmp_path):
+        record = np.zeros(CIFAR_RECORD_BYTES, np.uint8)
+        record[0] = 200
+        path = tmp_path / "bad.bin"
+        path.write_bytes(record.tobytes())
+        with pytest.raises(DataFormatError, match=r"bad.bin: label 200 outside \[0, 10\)"):
+            load_cifar_binary([path])
+        record[0] = 9
+        path.write_bytes(record.tobytes())
+        assert load_cifar_binary([path]).labels.tolist() == [9]
+
+    def test_cli_train_prints_one_error_line_and_returns_2(self, tmp_path, capsys):
+        paths = self._idx_with_label(tmp_path / "data", 200)
+        config = tmp_path / "bad.ini"
+        config.write_text(
+            "[data]\n"
+            + "".join(f"{key} = {path}\n" for key, path in paths.items())
+            + "train_size = 6\ntest_size = 2\nnum_classes = 3\n"
+            + f"[train]\nepochs = 1\nbatch_size = 2\n[output]\ndir = {tmp_path / 'run'}\n"
+        )
+        assert cli.main(["train", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"sadtlab: error: {paths['train_labels']}: label 200 outside [0, 3)\n"
+        )
