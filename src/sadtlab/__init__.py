@@ -1,7 +1,7 @@
 """Desk-scale training laboratory for noisy self-teacher strategies.
 
 A minimal reverse-mode autodiff engine, a small model zoo, gradient
-transforms with exact-rollback noise, seven pluggable training strategies,
+transforms, exactly removable parameter noise, seven pluggable strategies,
 sharpness/divergence probes, deterministic data handling with CutMix, and a
 reproducible experiment harness.
 """

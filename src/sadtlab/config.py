@@ -155,7 +155,7 @@ def parse_config(path, seed: int | None = None, out_dir: str | None = None) -> E
                 raise ConfigError(f"[{name}] {key}: {exc}") from exc
         try:
             setattr(cfg, name, replace(default, **values))
-        except ValueError as exc:  # Strategy rejects an unknown id
+        except ValueError as exc:  # Strategy rejects an unknown id or a bad hyperparameter
             raise ConfigError(str(exc)) from exc
     if seed is not None:
         cfg.train.seed = seed

@@ -135,17 +135,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """Train per the config, logging every step, eval, and probe.
 
     Writes metrics.csv, resolved.ini, summary.json, batch_hashes.txt, and the
-    final checkpoint into the output directory. A non-finite loss aborts the
-    run after saving the last good checkpoint and flushing the log.
+    final checkpoint into the output directory, which is made only once the
+    data has loaded. A non-finite loss aborts the run after saving the
+    weights before the failing step and flushing the log.
     """
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / RESOLVED_FILE).write_text(resolved_text(cfg))
-
     opts = cfg.train
     seed, batch_size, epochs = opts.seed, opts.batch_size, opts.epochs
     train, test = _load_dataset(cfg.data)
     model = _build_model(cfg.model, train)
+    out = Path(cfg.output.dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / RESOLVED_FILE).write_text(resolved_text(cfg))
     initial_model = model.clone()
     state = AdamState(model.params)
     batches_per_epoch = (train.n + batch_size - 1) // batch_size

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, log_softmax_rows, softmax_cross_entropy
 from .data import Dataset
-from .nn import Model, ParamSet
+from .nn import Model
 from .optim import GradSet
 
 
@@ -39,8 +39,8 @@ class EvalResult:
     mean_loss: float
 
 
-def one_step_sharpness(loss_fn: Callable[[], Tensor], params: ParamSet, rho: float) -> tuple[float, bool]:
-    """loss(w + rho * g/||g||) - loss(w) for one loss; restores w bitwise.
+def one_step_sharpness(loss_fn: Callable[[Model], Tensor], model: Model, rho: float) -> tuple[float, bool]:
+    """loss(w + rho * g/||g||) - loss(w) for one loss; ascends a copy, so w never moves.
 
     Returns (estimate, zero_grad): a zero gradient skips the ascent and
     contributes 0.
@@ -48,17 +48,15 @@ def one_step_sharpness(loss_fn: Callable[[], Tensor], params: ParamSet, rho: flo
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     with Tape():
-        loss = loss_fn()
+        loss = loss_fn(model)
         base = loss.item()
-        grads = GradSet.from_backward(params, backward(loss))
+        grads = GradSet.from_backward(model.params, backward(loss))
     norm = grads.global_norm()
     if norm == 0.0:
         return 0.0, True
-    snap = params.snapshot()
-    params.add_scaled(grads, rho / norm)
-    perturbed = loss_fn().item()
-    params.restore(snap)
-    return perturbed - base, False
+    shifted = model.clone()
+    shifted.params.add_scaled(grads, rho / norm)
+    return loss_fn(shifted).item() - base, False
 
 
 def _hard_label_loss(model: Model, images: np.ndarray, labels: np.ndarray) -> Tensor:
@@ -88,7 +86,7 @@ def estimate_sharpness(
     zero_batches = 0
     for images, labels in data_batches:
         value, zero = one_step_sharpness(
-            lambda: _hard_label_loss(model, images, labels), model.params, rho
+            lambda m: _hard_label_loss(m, images, labels), model, rho
         )
         values.append(value)
         zero_batches += int(zero)

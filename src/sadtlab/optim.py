@@ -1,9 +1,10 @@
-"""Adam with cosine decay, gradient transforms, and exact-rollback noise.
+"""Adam with cosine decay, gradient transforms, and parameter noise.
 
 Gradient sets mirror a ParamSet entry-for-entry; every operation re-checks
-alignment. Noise injection keeps the drawn noise, the pre-noise values, and
-the post-noise values, so removal restores the target bitwise and detects
-application against the wrong tensors.
+alignment. Parameter noise keeps the drawn noise, the pre-noise values, and
+the post-noise values, so removal restores the parameters bitwise and detects
+application against the wrong tensors. Strategies add it only to a copy of
+the live weights, so the removal never has to undo a move of the live ones.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ ADAM_EPS = 1e-8
 AGC_EPS = 1e-3
 
 PARAM_FILTERS = ("all", "last-conv", "last-dense")
-GRAD_FILTERS = ("gradient-all",)
 
 
 class AlignmentError(ValueError):
@@ -45,16 +45,15 @@ class GradSet:
 
     @classmethod
     def from_backward(cls, params: ParamSet, leaf_grads) -> "GradSet":
-        """Collect leaf gradients for each parameter; absent leaves get exact zeros."""
+        """Collect each parameter's leaf gradient, uncopied (``backward`` returns
+        fresh arrays); absent leaves get exact zeros."""
         entries = []
         for e in params.entries:
             g = leaf_grads.get(e.tensor)
             if g is None:
                 g = np.zeros(e.tensor.shape)
-            else:
-                if g.shape != e.tensor.shape:
-                    raise AlignmentError(f"gradient for {e.name} has shape {g.shape}")
-                g = np.array(g)
+            elif g.shape != e.tensor.shape:
+                raise AlignmentError(f"gradient for {e.name} has shape {g.shape}")
             entries.append((e.name, g, e.kind))
         return cls(entries)
 
@@ -209,17 +208,17 @@ def adaptive_gradient_clip(params: ParamSet, grads: GradSet, lam: float = 0.01) 
 
 
 # ---------------------------------------------------------------------------
-# noise injection with exact rollback
+# parameter noise with exact removal
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class NoiseRecord:
-    """Exact noise added to named tensors, retained for exact removal.
+    """Exact noise added to named parameters, retained for exact removal.
 
     Keeps the drawn noise, the pre-noise values, and the post-noise values.
-    Removal verifies the target still holds the post-noise values, restores
-    the originals bitwise, and consumes the record.
+    Removal verifies the parameters still hold the post-noise values,
+    restores the originals bitwise, and consumes the record.
     """
 
     sigma: float
@@ -234,38 +233,33 @@ class NoiseRecord:
         return self.entries[name][0]
 
 
-def _noise_targets(target, layer_filter: str) -> list[tuple[str, np.ndarray]]:
-    if isinstance(target, ParamSet):
-        if layer_filter not in PARAM_FILTERS:
-            raise NoiseError(f"filter {layer_filter!r} does not apply to parameters")
-        if layer_filter == "all":
-            return [(e.name, e.tensor.data) for e in target.entries]
-        layers = target.layers("conv" if layer_filter == "last-conv" else "dense")
-        if not layers:
-            raise NoiseError(f"filter {layer_filter!r} selects nothing in this model")
-        return [(e.name, e.tensor.data) for e in target.entries if e.layer == layers[-1]]
-    if isinstance(target, GradSet):
-        if layer_filter not in GRAD_FILTERS:
-            raise NoiseError(f"filter {layer_filter!r} does not apply to gradients")
-        return [(name, arr) for name, arr, _ in target.entries]
-    raise TypeError(f"cannot add noise to {type(target).__name__}")
+def _noise_targets(params: ParamSet, layer_filter: str) -> list[tuple[str, np.ndarray]]:
+    if not isinstance(params, ParamSet):
+        raise NoiseError(f"noise applies to parameters, not to {type(params).__name__}")
+    if layer_filter not in PARAM_FILTERS:
+        raise NoiseError(f"filter {layer_filter!r} does not apply to parameters")
+    if layer_filter == "all":
+        return [(e.name, e.tensor.data) for e in params.entries]
+    layers = params.layers("conv" if layer_filter == "last-conv" else "dense")
+    if not layers:
+        raise NoiseError(f"filter {layer_filter!r} selects nothing in this model")
+    return [(e.name, e.tensor.data) for e in params.entries if e.layer == layers[-1]]
 
 
 def add_noise(
-    target,
+    params: ParamSet,
     sigma: float,
     layer_filter: str,
     rng: np.random.Generator,
 ) -> NoiseRecord:
-    """Add elementwise N(0, sigma^2) noise to the selected tensors in place.
+    """Add elementwise N(0, sigma^2) noise to the selected parameters in place.
 
-    Selection: parameter sets accept "all", "last-conv", "last-dense";
-    gradient sets accept "gradient-all". Entries are perturbed in their
-    stored order so the draw sequence is reproducible from the given rng.
+    Selection: "all", "last-conv" or "last-dense". Entries are perturbed in
+    their stored order so the draw sequence is reproducible from the given rng.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    selected = _noise_targets(target, layer_filter)
+    selected = _noise_targets(params, layer_filter)
     if not selected:
         raise NoiseError(f"filter {layer_filter!r} selected no tensors")
     record = NoiseRecord(sigma=sigma, layer_filter=layer_filter)
@@ -277,15 +271,15 @@ def add_noise(
     return record
 
 
-def subtract_noise(target, record: NoiseRecord) -> None:
+def subtract_noise(params: ParamSet, record: NoiseRecord) -> None:
     """Remove recorded noise, restoring the pre-noise values bitwise.
 
-    The record is single-use and must match the target's current noised
+    The record is single-use and must match the parameters' current noised
     state; otherwise the call fails without modifying anything.
     """
     if record.consumed:
         raise NoiseError("noise record already applied (single-use)")
-    live = dict(_noise_targets(target, record.layer_filter))
+    live = dict(_noise_targets(params, record.layer_filter))
     if set(record.entries) != set(live):
         raise NoiseError(
             f"record names {sorted(record.entries)} do not match target {sorted(live)}"

@@ -7,23 +7,25 @@ with soft-label KL gradients taken against perturbed copies of the freshly
 updated weights.
 
 ``PRESETS`` maps each id to a gradient transform (none, "gc" or "agc"), a
-flag for the sam ascent, and a tuple of teacher perturbations named by the
-``add_noise`` filters. ``Strategy.step`` runs every id through one order:
+flag for the sam ascent, and a tuple of teacher perturbations (``add_noise``
+filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 
 1. task pass: forward and backward of the mixed-label loss at w;
-2. the gradient transform, or the sam ascent (move rho along the normalized
-   gradient, take the gradient there, restore w exactly);
-3. with teachers: a transient update on an optimizer clone gives the
-   self-teacher weights w_up; each teacher perturbs w_up, differentiates the
-   KL between the pre-update logits (held constant) and its own logits, and
-   is undone exactly; the task and KL gradients are summed, and with
-   rollback_to_w the weights return to w;
-4. one update with the persistent optimizer state.
+2. the gradient transform, or the sam ascent (the gradient at a copy of w
+   moved rho along the normalized gradient);
+3. with teachers: a transient update of a copy of w, on an optimizer clone,
+   gives the self-teacher weights w_up; each teacher perturbs that copy,
+   differentiates the KL between the pre-update logits (held constant) and
+   its own logits, and is undone exactly; the task and KL gradients are summed;
+4. one update of the live weights with the persistent optimizer state, from
+   w_up (copied in) or, with rollback_to_w, from w. Nothing moves them before
+   it, so a step that raises leaves them as they were.
 
 Parameter-noise teachers ("all", "last-conv", "last-dense") add
 N(0, sigma_w^2) to the selected layers and subtract it bitwise afterwards.
-The gradient-noise teacher ("gradient-all") ascends ascent_lr along a copy of
-the task gradient carrying N(0, sigma_g^2) noise and restores a snapshot.
+The gradient-noise teacher ("gradient-all") ascends ascent_lr along the task
+gradient plus N(0, sigma_g^2), drawn entry by entry in parameter order, and
+restores a snapshot.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, add, backward, kl_divergence, scale, softmax_cross_entropy
 from .data import MixedBatch
-from .nn import Model
+from .nn import Model, ParamSet
 from .optim import (
     PARAM_FILTERS,
     AdamState,
     GradSet,
-    NoiseRecord,
     adam_step,
     adaptive_gradient_clip,
     add_noise,
@@ -59,7 +60,7 @@ from .optim import (
 class Preset(NamedTuple):
     transform: str | None  # None, "gc" or "agc"
     sam: bool
-    teachers: tuple[str, ...]  # one add_noise filter per KL pass
+    teachers: tuple[str, ...]  # per KL pass: an add_noise filter or "gradient-all"
 
 
 PRESETS = {
@@ -91,8 +92,9 @@ class StepReport:
 
 
 class StepTrace:
-    """Optional instrumentation: named parameter snapshots taken mid-step,
-    the noise records drawn, and the gradient fed to the final update."""
+    """Optional instrumentation: named snapshots of the shifted copies taken
+    mid-step ("perturbed", "w_up", "aux_<i>", "rollback_<i>"), the parameter
+    noise records drawn, and the gradient fed to the final update."""
 
     def __init__(self):
         self.marks: dict[str, dict[str, np.ndarray]] = {}
@@ -123,6 +125,18 @@ class Strategy:
     def __post_init__(self):
         if self.id not in PRESETS:
             raise ValueError(f"unknown strategy id {self.id!r} (choose from {STRATEGY_IDS})")
+        transform, sam, teachers = PRESETS[self.id]  # check only what this preset reads
+        if transform == "agc" and not self.agc_lambda > 0:
+            raise ValueError(f"agc_lambda must be positive, got {self.agc_lambda}")
+        if sam and not self.rho > 0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
+        if any(f in PARAM_FILTERS for f in teachers) and not self.sigma_w >= 0:
+            raise ValueError(f"sigma_w must be >= 0, got {self.sigma_w}")
+        if "gradient-all" in teachers:
+            if not self.sigma_g >= 0:
+                raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
+            if self.ascent_lr is not None and not self.ascent_lr >= 0:
+                raise ValueError(f"ascent_lr must be >= 0, got {self.ascent_lr}")
 
     def step(
         self,
@@ -135,7 +149,7 @@ class Strategy:
     ) -> StepReport:
         transform, sam, teachers = PRESETS[self.id]
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
-        self._validate(model, sam, teachers, ascent_lr, noise_seed)
+        self._validate(model, teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
         logits_w, task_loss, grads = _task_pass(model, batch)
         flags: tuple[str, ...] = ()
@@ -148,24 +162,22 @@ class Strategy:
         kl_loss = 0.0
         if teachers:
             rngs = _noise_rngs(noise_seed, len(teachers))
-            w_snap = model.params.snapshot() if self.rollback_to_w else None
-            # transient clone: the initial update must not advance persistent moments
-            adam_step(model.params, grads, state.clone(), lr)
-            _mark(trace, "w_up", model.params)
+            # transient update of a copy on a state clone: w and the moments stay put
+            teacher = model.clone()
+            adam_step(teacher.params, grads, state.clone(), lr)
+            _mark(trace, "w_up", teacher.params)
             parts = [grads]
             for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
-                record, undo = self._perturb(model, grads, layer_filter, rng, ascent_lr)
-                if trace is not None:
-                    trace.records.append(record)
-                _mark(trace, f"aux_{i}", model.params)
-                kl, g_aux = _kl_pass(model, batch, logits_w)
+                undo = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr, trace)
+                _mark(trace, f"aux_{i}", teacher.params)
+                kl, g_aux = _kl_pass(teacher, batch, logits_w)
                 undo()
-                _mark(trace, f"rollback_{i}", model.params)
+                _mark(trace, f"rollback_{i}", teacher.params)
                 kl_loss += kl
                 parts.append(g_aux)
             grads = aggregate_gradients(parts)
-            if w_snap is not None:
-                model.params.restore(w_snap)
+            if not self.rollback_to_w:  # the final update starts from w_up
+                model.params.restore(teacher.params.snapshot())
         if trace is not None:
             trace.final_grads = grads
         adam_step(model.params, grads, state, lr)
@@ -174,56 +186,47 @@ class Strategy:
         )
 
     def _validate(
-        self, model: Model, sam: bool, teachers: tuple[str, ...], ascent_lr: float, noise_seed
+        self, model: Model, teachers: tuple[str, ...], ascent_lr: float, noise_seed
     ) -> None:
-        """Reject bad hyperparameters before the step changes any weight."""
+        """Reject what depends on the step's arguments before any pass runs."""
         if teachers and noise_seed is None:
             # a fixed default would draw the same teacher noise at every step
             raise ValueError(f"strategy {self.id!r} draws teacher noise and needs a noise_seed")
-        if sam and self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if any(f in PARAM_FILTERS for f in teachers) and self.sigma_w < 0:
-            raise ValueError(f"sigma_w must be >= 0, got {self.sigma_w}")
-        if "gradient-all" in teachers:
-            if self.sigma_g < 0:
-                raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
-            if ascent_lr < 0:
-                raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
+        if "gradient-all" in teachers and ascent_lr < 0:  # the scheduled lr
+            raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
         if "last-conv" in teachers and not model.params.layers("conv"):
             raise ValueError(f"{self.id} requires an architecture with a conv layer")
 
     def _perturb(
-        self, model: Model, grads: GradSet, layer_filter: str, rng: np.random.Generator,
-        ascent_lr: float,
-    ) -> tuple[NoiseRecord, Callable[[], None]]:
-        """Move the weights to one auxiliary teacher; return the noise record
-        and a callable that restores the weights bitwise."""
+        self, params: ParamSet, grads: GradSet, layer_filter: str, rng: np.random.Generator,
+        ascent_lr: float, trace: StepTrace | None,
+    ) -> Callable[[], None]:
+        """Move the teacher copy to one auxiliary teacher; return a callable
+        that moves it back to w_up bitwise."""
         if layer_filter in PARAM_FILTERS:
-            record = add_noise(model.params, self.sigma_w, layer_filter, rng)
-            return record, lambda: subtract_noise(model.params, record)
-        g_noisy = grads.clone()
-        record = add_noise(g_noisy, self.sigma_g, layer_filter, rng)
-        up_snap = model.params.snapshot()
-        model.params.add_scaled(g_noisy, ascent_lr)
-        return record, lambda: model.params.restore(up_snap)
+            record = add_noise(params, self.sigma_w, layer_filter, rng)
+            if trace is not None:
+                trace.records.append(record)
+            return lambda: subtract_noise(params, record)
+        g_noisy = GradSet([(n, g + rng.normal(0.0, self.sigma_g, size=g.shape), k) for n, g, k in grads])
+        up_snap = params.snapshot()
+        params.add_scaled(g_noisy, ascent_lr)
+        return lambda: params.restore(up_snap)
 
 
 def _sam_ascent(
     model: Model, batch: MixedBatch, grads: GradSet, rho: float, trace: StepTrace | None
 ) -> tuple[GradSet, tuple[str, ...]]:
-    """Ascend rho along the normalized gradient, take the gradient there and
-    restore the weights exactly. A zero gradient skips the ascent (the step
+    """Take the gradient at a copy of the weights moved rho along the
+    normalized gradient. A zero gradient skips the ascent (the step
     degenerates to baseline) and is flagged."""
     norm = grads.global_norm()
     if norm == 0.0:
         return grads, ("zero-gradient",)
-    snap = model.params.snapshot()
-    _mark(trace, "w", model.params)
-    model.params.add_scaled(grads, rho / norm)
-    _mark(trace, "perturbed", model.params)
-    _, _, grads = _task_pass(model, batch)
-    model.params.restore(snap)
-    _mark(trace, "restored", model.params)
+    shifted = model.clone()
+    shifted.params.add_scaled(grads, rho / norm)
+    _mark(trace, "perturbed", shifted.params)
+    _, _, grads = _task_pass(shifted, batch)
     return grads, ()
 
 

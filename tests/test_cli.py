@@ -13,9 +13,11 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sadtlab import cli
+from sadtlab.nn import build_simple_cnn, load_checkpoint
 
 STRATEGIES = ("baseline", "sadt_v1")
 
@@ -98,3 +100,20 @@ def test_missing_dataset_file_prints_one_error_line(tmp_path, capsys):
     assert captured.out == ""
     missing = tmp_path / "absent" / "train-images-idx3-ubyte"
     assert captured.err == f"sadtlab: error: {missing}: No such file or directory\n"
+    assert not (tmp_path / "run").exists()  # nothing is written before the inputs load
+
+
+def test_abort_checkpoint_holds_the_initial_weights(session, tmp_path, monkeypatch):
+    # rho = 1e300 makes the first step's ascent pass non-finite
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    config = tmp_path / "abort.ini"
+    config.write_text(_config("sam").replace("[strategy]\n", "[strategy]\nrho = 1e300\n"))
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="non-finite loss at step 1"), np.errstate(all="ignore"):
+        cli.main(["train", "--config", str(config), "--out", str(out)])
+    initial = build_simple_cnn((1, 28, 28), 3, seed=4).params
+    saved = load_checkpoint(out / "abort.ckpt")
+    assert saved.names() == initial.names()
+    for e in initial:
+        assert saved.get(e.name).data.tobytes() == e.tensor.data.tobytes(), e.name

@@ -207,15 +207,28 @@ class TestRejections:
             (IDX + "[train]\nprobe_batches = 0\n", "probe_batches must be >= 1"),
             (IDX + "[model]\narch = tiny_mlp\n[strategy]\nid = sadt_v2\n",
              "sadt_v2 needs a conv layer; tiny_mlp has none"),
+            (IDX + "[strategy]\nid = agc\nagc_lambda = 0\n", "agc_lambda must be positive"),
+            (IDX + "[strategy]\nid = sam\nrho = 0\n", "rho must be positive, got 0.0"),
+            (IDX + "[strategy]\nid = sam\nrho = nan\n", "rho must be positive, got nan"),
+            (IDX + "[strategy]\nid = sadt_v1\nsigma_w = -0.1\n", "sigma_w must be >= 0"),
+            (IDX + "[strategy]\nid = sadt_v2\nsigma_w = -0.1\n", "sigma_w must be >= 0"),
+            (IDX + "[strategy]\nid = sadt_v3\nsigma_g = -0.1\n", "sigma_g must be >= 0"),
+            (IDX + "[strategy]\nid = sadt_v3\nascent_lr = -0.1\n", "ascent_lr must be >= 0"),
         ],
         ids=[
             "strategy-id", "arch", "format", "idx-paths", "cifar-files", "epochs",
             "probe-every", "batch-size", "probe-batches", "mlp-sadt-v2",
+            "agc-lambda", "sam-rho-zero", "sam-rho-nan", "v1-sigma-w", "v2-sigma-w", "v3-sigma-g",
+            "v3-ascent-lr",
         ],
     )
     def test_invalid_config_rejected(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):
             parse(tmp_path, text)
+
+    def test_hyperparameters_a_preset_ignores_are_not_checked(self, tmp_path):
+        text = IDX + "[strategy]\nid = baseline\nrho = 0\nsigma_w = -1\nsigma_g = -1\nagc_lambda = 0\n"
+        assert parse(tmp_path, text).strategy.rho == 0.0
 
 
 UNPARSABLE = [

@@ -1,6 +1,7 @@
 """The promises of the ``metrics`` docstrings, on an 8x8 ``simple_cnn``:
-the sharpness probe restores the weights bitwise, a model's divergence from
-itself is exactly 0, and evaluation does not depend on dataset order."""
+the sharpness probe leaves the weights bitwise as they were, a model's
+divergence from itself is exactly 0, and evaluation does not depend on
+dataset order."""
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_one_step_sharpness_restores_params_bitwise(model, dataset):
     before = _bits(model)
     images, labels = dataset.images[:4], dataset.labels[:4]
     value, zero_grad = one_step_sharpness(
-        lambda: _hard_label_loss(model, images, labels), model.params, rho=0.05
+        lambda m: _hard_label_loss(m, images, labels), model, rho=0.05
     )
     assert not zero_grad and value != 0.0  # the ascent step really moved the weights
     assert _bits(model) == before

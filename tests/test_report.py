@@ -1,7 +1,11 @@
 import json
+import math
+import xml.etree.ElementTree as ET
 
-from sadtlab.harness import CSV_HEADER
-from sadtlab.report import compare_runs
+import pytest
+
+from sadtlab.harness import CSV_HEADER, RunRow
+from sadtlab.report import compare_runs, line_chart_svg
 
 
 def write_run(run_dir, strategy, seed, accuracy, aborted=None):
@@ -35,3 +39,77 @@ class TestCompareRuns:
         assert lines[:2] == ["strategy,seed_0,seed_1,mean", "baseline,0.500000*,,0.500000"]
         assert lines[2] == "sadt_v1,,,"
         assert report.table_text.splitlines()[2].split() == ["sadt_v1", "-", "-", "-"]
+
+
+def write_curve_run(run_dir, strategy, accuracies):
+    """A finished run whose eval_test rows hold ``accuracies`` (epoch -> value)."""
+    run_dir.mkdir()
+    summary = {
+        "strategy": strategy, "arch": "simple_cnn", "seed": 0,
+        "dataset_fingerprint": "f" * 64, "final_test_accuracy": 0.5, "aborted": None,
+    }
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+    rows = [RunRow(4 * epoch, epoch, "eval_test", task_loss=1.0, accuracy=acc).csv_line()
+            for epoch, acc in accuracies.items()]
+    (run_dir / "metrics.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    return run_dir
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def polylines(root: ET.Element) -> list[list[tuple[float, float]]]:
+    out = []
+    for line in root.iter(f"{SVG}polyline"):
+        out.append([tuple(map(float, p.split(","))) for p in line.get("points").split()])
+    return out
+
+
+def texts(root: ET.Element) -> list[str]:
+    return [t.text for t in root.iter(f"{SVG}text")]
+
+
+class TestCurves:
+    def test_epochs_are_the_union_and_missing_cells_blank(self, tmp_path):
+        runs = [
+            write_curve_run(tmp_path / "base", "baseline", {0: 0.1, 1: 0.25, 2: 1 / 3}),
+            write_curve_run(tmp_path / "v1", "sadt_v1", {0: 0.2, 2: 0.7, 3: 2 / 3}),
+        ]
+        compare_runs(runs, tmp_path / "cmp")
+        lines = (tmp_path / "cmp" / "curves_val_accuracy.csv").read_text().splitlines()
+        assert lines == [
+            "epoch,baseline-s0,sadt_v1-s0",
+            "0,0.1,0.2",
+            "1,0.25,",
+            f"2,{1 / 3!r},0.7",
+            f"3,,{2 / 3!r}",
+        ]
+        # no run has eval_train rows: the epoch column is empty, not missing
+        assert (tmp_path / "cmp" / "curves_train_loss.csv").read_text() == (
+            "epoch,baseline-s0,sadt_v1-s0\n"
+        )
+
+
+class TestLineChart:
+    def test_one_polyline_per_non_empty_series_and_one_label_each(self):
+        series = {"a": ([0, 1, 2], [1.0, 2.0, 3.0]), "b": ([], []), "c": ([0, 2], [0.5, 0.5])}
+        root = ET.fromstring(line_chart_svg(series, title="t"))
+        lines = polylines(root)
+        assert [len(points) for points in lines] == [3, 2]
+        assert [texts(root).count(label) for label in series] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            {},
+            {"a": ([], [])},
+            {"a": ([3, 3], [2.0, 2.0])},  # one x and one y: both spans are zero
+            {"a": ([0, 1], [2.0, 2.0]), "b": ([5], [2.0])},
+        ],
+        ids=["no-series", "empty-series", "one-point", "constant"],
+    )
+    def test_degenerate_series_render_finite_coordinates(self, series):
+        root = ET.fromstring(line_chart_svg(series))
+        for points in polylines(root):
+            assert all(math.isfinite(x) and math.isfinite(y) for x, y in points)
+        assert "nan" not in ET.tostring(root, encoding="unicode")

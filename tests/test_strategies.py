@@ -143,19 +143,22 @@ class TestSam:
     def test_sam_perturbation_norm_in_step(self):
         model = small_cnn(seed=6)
         batch = small_batch(seed=7)
+        w = model.params.snapshot()
         trace = StepTrace()
         Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001, trace=trace)
-        w = trace.marks["w"]
         pert = trace.marks["perturbed"]
         delta = np.concatenate([(pert[k] - w[k]).ravel() for k in w])
         assert np.linalg.norm(delta) == pytest.approx(0.05, abs=1e-9)
 
     def test_restore_is_exact_before_descent(self):
+        # the ascent ran on a copy: the descent is one Adam step from w exactly
         model = small_cnn(seed=6)
+        expected = small_cnn(seed=6)
         batch = small_batch(seed=7)
         trace = StepTrace()
         Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001, trace=trace)
-        assert snapshots_equal(trace.marks["w"], trace.marks["restored"])
+        adam_step(expected.params, trace.final_grads, AdamState(expected.params), 0.001)
+        assert snapshots_equal(model.params.snapshot(), expected.params.snapshot())
 
     def test_tiny_rho_converges_to_baseline(self):
         model_a = small_cnn(seed=6)
@@ -356,14 +359,24 @@ class TestSadtV3:
         )
         assert snapshots_equal(model.params.snapshot(), before)
 
-    def test_gradient_noise_record_covers_all_entries(self):
+    def test_gradient_noise_covers_all_entries(self):
+        # the teacher sits at w_up + ascent_lr * (g + noise), one N(0, sigma_g^2)
+        # draw per entry in parameter order from the teacher's rng
         model, batch = mlp_and_batch(seed=15)
+        _, _, grads = _task_pass(model, batch)
         trace = StepTrace()
         Strategy("sadt_v3", sigma_g=0.01, ascent_lr=0.001).step(
             model, batch, AdamState(model.params), lr=0.001,
             noise_seed=np.random.SeedSequence(0), trace=trace,
         )
-        assert trace.records[0].names() == model.params.names()
+        (child,) = np.random.SeedSequence(0).spawn(1)
+        rng = np.random.default_rng(child)
+        for name, g, _ in grads:
+            noise = rng.normal(0.0, 0.01, size=g.shape)
+            assert np.all(noise != 0.0)
+            expected = trace.marks["w_up"][name] + 0.001 * (g + noise)
+            assert np.array_equal(trace.marks["aux_0"][name], expected), name
+        assert trace.records == []  # noise records cover parameter noise only
 
     def test_default_ascent_lr_follows_schedule(self):
         model, batch = mlp_and_batch(seed=16)
@@ -374,6 +387,33 @@ class TestSadtV3:
             noise_seed=np.random.SeedSequence(0),
         )
         assert report.lr == 0.002
+
+
+class TestFailedStepLeavesWeights:
+    """Every shifted point lives on a copy: a step whose second pass (the sam
+    ascent or a teacher's KL pass) goes non-finite leaves the live weights
+    and the persistent optimizer state as they were."""
+
+    @pytest.mark.parametrize("rollback_to_w", [False, True])
+    @pytest.mark.parametrize(
+        "strategy_id, fields",
+        [
+            ("sam", {"rho": 1e300}),
+            ("sadt_v1", {"sigma_w": 1e300}),
+            ("sadt_v2", {"sigma_w": 1e307}),  # at 1e300 its KL loss stays finite
+            ("sadt_v3", {"sigma_g": 1e300}),
+        ],
+    )
+    def test_weights_and_state_unchanged(self, strategy_id, fields, rollback_to_w):
+        model = small_cnn(seed=25)
+        batch = small_batch(seed=26)
+        state = AdamState(model.params)
+        before = model.params.snapshot()
+        strat = Strategy(strategy_id, rollback_to_w=rollback_to_w, **fields)
+        with pytest.raises(NonFiniteLossError), np.errstate(all="ignore"):
+            strat.step(model, batch, state, 0.001, noise_seed=np.random.SeedSequence(0))
+        assert snapshots_equal(model.params.snapshot(), before)
+        assert state.t == 0
 
 
 class TestStrategyDispatch:
@@ -390,17 +430,19 @@ class TestStrategyDispatch:
             ("sadt_v3", {"sigma_g": -0.1}, "sigma_g"),
             ("sadt_v3", {"ascent_lr": -0.1}, "ascent_lr"),
             ("sadt_v1", {"noise_seed": None}, "noise_seed"),
+            ("sadt_v3", {"lr": -0.1}, "ascent_lr"),  # the scheduled ascent lr
         ],
     )
     def test_bad_hyperparameters_rejected_before_any_update(self, strategy_id, fields, match):
-        fields = dict(fields)  # "noise_seed" goes to step, the rest to Strategy
+        fields = dict(fields)  # "noise_seed" and "lr" go to step, the rest to Strategy
         noise_seed = fields.pop("noise_seed", np.random.SeedSequence(0))
+        lr = fields.pop("lr", 0.001)
         model = small_cnn(seed=23)
         batch = small_batch(seed=24)
         before = model.params.snapshot()
         state = AdamState(model.params)
         with pytest.raises(ValueError, match=match):
-            Strategy(strategy_id, **fields).step(model, batch, state, 0.001, noise_seed=noise_seed)
+            Strategy(strategy_id, **fields).step(model, batch, state, lr, noise_seed=noise_seed)
         assert snapshots_equal(model.params.snapshot(), before)
         assert state.t == 0
 
