@@ -298,6 +298,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+_COL2IM_BLOCK_BYTES = 1 << 20
+
+
 def _im2col(xd: np.ndarray, k: int) -> np.ndarray:
     n, h, w, c = xd.shape
     pad = k // 2
@@ -313,10 +316,17 @@ def _col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
     pad = k // 2
     gwin = gcols.reshape(n, h, w, c, k, k)
     gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    # overlapping windows accumulate through k*k shifted adds, fixed order
-    for i in range(k):
-        for j in range(k):
-            gp[:, i : i + h, j : j + w, :] += gwin[:, :, :, :, i, j]
+    # overlapping windows accumulate through k*k shifted adds, fixed order. The
+    # adds read gcols at a stride of k*k, so they run a few images at a time:
+    # a block's ~1 MiB of gcols stays in cache for all k*k reads, where the
+    # whole array would come from DRAM k*k times. Each cell's sum is unchanged.
+    block = max(1, _COL2IM_BLOCK_BYTES // (h * w * c * k * k * gcols.itemsize))
+    for start in range(0, n, block):
+        gb = gwin[start : start + block]
+        pb = gp[start : start + block]
+        for i in range(k):
+            for j in range(k):
+                pb[:, i : i + h, j : j + w, :] += gb[:, :, :, :, i, j]
     return gp[:, pad : pad + h, pad : pad + w, :]
 
 
@@ -370,39 +380,38 @@ def max_pool2x2(t: Tensor) -> Tensor:
     stride 2, floor semantics on odd extents.
 
     The gradient is an exact partition: each window routes its gradient to
-    one cell, the earliest maximum in window scan order.
+    one cell, the earliest maximum in window scan order; every other cell
+    gets g * 0, a zero with g's sign. A window holding NaN routes nowhere
+    (its max, and so the loss, is NaN).
     """
     n, h, w, c = t.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ShapeError(f"max_pool2x2 needs extents >= 2, got {t.shape}")
+
+    def windows(a: np.ndarray) -> np.ndarray:
+        # N x H2 x 2 x W2 x 2 x C view of the cells the windows cover
+        return a[:, : h2 * 2, : w2 * 2].reshape(n, h2, 2, w2, 2, c)
+
     x = t.data
-    cells = (
-        x[:, 0 : h2 * 2 : 2, 0 : w2 * 2 : 2],
-        x[:, 0 : h2 * 2 : 2, 1 : w2 * 2 : 2],
-        x[:, 1 : h2 * 2 : 2, 0 : w2 * 2 : 2],
-        x[:, 1 : h2 * 2 : 2, 1 : w2 * 2 : 2],
+    win = windows(x)
+    out = np.maximum(
+        np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1]),
+        np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]),
     )
-    top = np.maximum(cells[0], cells[1])
-    bottom = np.maximum(cells[2], cells[3])
-    out = np.maximum(top, bottom)
 
     def bw(g, needs):
-        gx = np.zeros(t.data.shape)
-        use_top = top >= bottom
-        mask = cells[0] >= cells[1]
-        np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, 0 : h2 * 2 : 2, 0 : w2 * 2 : 2])
-        np.less(cells[0], cells[1], out=mask)
-        np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, 0 : h2 * 2 : 2, 1 : w2 * 2 : 2])
-        np.logical_not(use_top, out=use_top)
-        np.greater_equal(cells[2], cells[3], out=mask)
-        np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, 1 : h2 * 2 : 2, 0 : w2 * 2 : 2])
-        np.less(cells[2], cells[3], out=mask)
-        np.logical_and(use_top, mask, out=mask)
-        np.multiply(g, mask, out=gx[:, 1 : h2 * 2 : 2, 1 : w2 * 2 : 2])
+        # one pass over x: a cell is a max where it equals the window's max
+        routed = np.equal(win, out[:, :, None, :, None, :])
+        seen = routed[:, :, 0, :, 0].copy()
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            cell = routed[:, :, i, :, j]
+            np.greater(cell, seen, out=cell)  # on bools: cell and not seen
+            np.logical_or(seen, cell, out=seen)
+        # odd extents leave a last row or column that no window covers: +0.0
+        even = h == h2 * 2 and w == w2 * 2
+        gx = np.empty(x.shape) if even else np.zeros(x.shape)
+        np.multiply(g[:, :, None, :, None, :], routed, out=windows(gx))
         return (gx,)
 
     return _apply(out, (t,), bw)

@@ -13,6 +13,7 @@ reproducible from its output directory alone.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .strategies import Strategy
@@ -123,6 +124,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1")
+    # a bad rho would only surface at the first probe, an epoch into the run
+    if train.probe_every and not (math.isfinite(train.probe_rho) and train.probe_rho > 0):
+        raise ConfigError(f"probe_rho must be positive and finite, got {train.probe_rho}")
+    if not (math.isfinite(train.lr0) and train.lr0 >= 0):
+        raise ConfigError(f"lr0 must be finite and >= 0, got {train.lr0}")
     if model.arch == "tiny_mlp" and cfg.strategy.id == "sadt_v2":
         raise ConfigError("sadt_v2 needs a conv layer; tiny_mlp has none")
 

@@ -6,9 +6,9 @@ noise from (3, epoch, batch). Strategies therefore consume byte-identical
 batch streams for a shared seed, and identical configs reproduce identical
 logs, given the same BLAS thread count: OpenBLAS splits a matmul's sums by
 its thread count, so one config run with a different number of threads
-writes different floats. Wall-clock timings are kept out of the metric CSV
-(they are the one non-reproducible quantity) and go to an optional sidecar
-instead.
+writes different floats. ``env.json`` records that environment beside the
+outputs. Wall-clock timings are kept out of the metric CSV (they are the one
+non-reproducible quantity) and go to an optional sidecar instead.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -39,6 +40,8 @@ HASHES_FILE = "batch_hashes.txt"
 CHECKPOINT_FILE = "final.ckpt"
 ABORT_CHECKPOINT_FILE = "abort.ckpt"
 WALL_TIMES_FILE = "wall_times.csv"
+ENV_FILE = "env.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -127,6 +130,27 @@ def dataset_fingerprint(cfg: ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
+def environment() -> dict:
+    """What a run's floats depend on beyond its config: the numpy version, its
+    BLAS (name, version, build configuration), the BLAS thread variables
+    (null when unset) and the CPU count."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy before 1.26 has no mode="dicts"
+        deps = {}
+    blas = deps.get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {
+            "name": blas.get("name"),
+            "version": blas.get("version"),
+            "configuration": blas.get("openblas configuration"),
+        },
+        "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _spawn(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
@@ -134,9 +158,9 @@ def _spawn(seed: int, *key: int) -> np.random.SeedSequence:
 def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """Train per the config, logging every step, eval, and probe.
 
-    Writes metrics.csv, resolved.ini, summary.json, batch_hashes.txt, and the
-    final checkpoint into the output directory, which is made only once the
-    data has loaded. A non-finite loss aborts the run after saving the
+    Writes metrics.csv, resolved.ini, env.json, summary.json,
+    batch_hashes.txt, and the final checkpoint into the output directory,
+    which is made only once the data has loaded. A non-finite loss aborts the run after saving the
     weights before the failing step and flushing the log.
     """
     opts = cfg.train
@@ -146,6 +170,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / RESOLVED_FILE).write_text(resolved_text(cfg))
+    (out / ENV_FILE).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     initial_model = model.clone()
     state = AdamState(model.params)
     batches_per_epoch = (train.n + batch_size - 1) // batch_size

@@ -125,9 +125,14 @@ class ParamSet:
 class Model:
     """A ParamSet plus the deterministic forward rule its layers imply.
 
-    With any conv layers, the forward runs each conv layer as conv, ReLU,
-    2x2 pool, then flattens into the dense stack; without, it flattens the
+    With any conv layers, the forward runs each conv layer as conv, 2x2 max
+    pool, ReLU, then flattens into the dense stack; without, it flattens the
     input straight into the dense stack. Layers run in parameter order.
+
+    Pooling before the ReLU is the same function as the usual conv, ReLU,
+    pool, bit for bit in values and gradients: ReLU is monotone, so it
+    commutes with a max, and a window whose max is <= 0 passes zeros with
+    g's sign in either order. The ReLU just runs at a quarter of the size.
     """
 
     def __init__(self, params: ParamSet, input_shape: tuple[int, ...]):
@@ -142,7 +147,7 @@ class Model:
 
     def _forward_cnn(self, images: Tensor) -> Tensor:
         """Images come in N x C x H x W and are carried channels last
-        (N x H x W x C) through every conv, ReLU and pool. Before the flatten
+        (N x H x W x C) through every conv, pool and ReLU. Before the flatten
         they are transposed back to channels first, so ``dense1.weight`` rows
         keep their (C, H, W) order and checkpoints stay interchangeable."""
         if images.data.ndim != 4 or images.shape[1:] != tuple(self.input_shape):
@@ -154,8 +159,8 @@ class Model:
             w = self.params.get(f"{layer}.weight")
             b = self.params.get(f"{layer}.bias")
             x = conv2d(x, w, b)
-            x = relu(x)
             x = max_pool2x2(x)
+            x = relu(x)
         x = transpose(x, (0, 3, 1, 2))
         x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
         return self._dense_stack(x)
@@ -199,7 +204,10 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
 def build_simple_cnn(
     input_shape: tuple[int, int, int], num_classes: int, seed: int
 ) -> Model:
-    """3x(3x3 conv, ReLU, 2x2 pool) then 3 dense layers with ReLU between.
+    """3x(3x3 conv, 2x2 max pool, ReLU) then 3 dense layers with ReLU between.
+
+    Conv, pool, ReLU computes exactly what conv, ReLU, pool does (see
+    :class:`Model`), with the ReLU on the pooled quarter.
 
     Channel widths 32/64/64 and dense widths 256/128/num_classes; He-uniform
     weights from the given seed, zero biases. Requires spatial extents >= 8 so

@@ -11,12 +11,14 @@ values pin the numerics of one BLAS thread, which ``conftest.py`` sets.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sadtlab import cli
+from sadtlab.harness import environment
 from sadtlab.nn import build_simple_cnn, load_checkpoint
 
 STRATEGIES = ("baseline", "sadt_v1")
@@ -90,6 +92,29 @@ def test_comparison_lists_both_strategies(session):
     lines = (root / "cmp" / "comparison.csv").read_text().splitlines()
     assert lines[0] == "strategy,seed_4,mean"
     assert [line.split(",")[0] for line in lines[1:]] == list(STRATEGIES)
+
+
+def test_run_directory_records_its_environment(session):
+    root, _, _ = session
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert json.loads((root / "runs" / "baseline" / "env.json").read_text()) == {
+        "numpy": np.__version__,
+        "blas": {
+            "name": blas["name"],
+            "version": blas["version"],
+            "configuration": blas["openblas configuration"],
+        },
+        # conftest.py pins one BLAS thread
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def test_unset_thread_variable_is_recorded_as_null(monkeypatch):
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    assert environment()["threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+    }
 
 
 def test_missing_dataset_file_prints_one_error_line(tmp_path, capsys):

@@ -261,3 +261,45 @@ class TestUnparsableFile:
         assert captured.err.startswith(f"sadtlab: error: cannot parse config {path}: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+BAD_TRAIN_VALUES = [
+    ("probe_rho = 0", "probe_rho must be positive and finite, got 0.0"),
+    ("probe_rho = -0.05", "probe_rho must be positive and finite, got -0.05"),
+    ("probe_rho = nan", "probe_rho must be positive and finite, got nan"),
+    ("probe_rho = inf", "probe_rho must be positive and finite, got inf"),
+    ("lr0 = -0.001", "lr0 must be finite and >= 0, got -0.001"),
+    ("lr0 = nan", "lr0 must be finite and >= 0, got nan"),
+    ("lr0 = inf", "lr0 must be finite and >= 0, got inf"),
+]
+BAD_TRAIN_IDS = [
+    "rho-zero", "rho-negative", "rho-nan", "rho-inf", "lr0-negative", "lr0-nan", "lr0-inf",
+]
+
+
+class TestTrainValues:
+    """A probe_rho or lr0 that would fail or mislead mid-run is rejected
+    before anything is written."""
+
+    @pytest.mark.parametrize("line, message", BAD_TRAIN_VALUES, ids=BAD_TRAIN_IDS)
+    def test_parse_config_rejects(self, tmp_path, line, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse(tmp_path, IDX + f"[train]\nprobe_every = 1\n{line}\n")
+
+    @pytest.mark.parametrize("line, message", BAD_TRAIN_VALUES, ids=BAD_TRAIN_IDS)
+    def test_cli_prints_one_error_line_and_returns_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "run.ini"
+        path.write_text(IDX + f"[train]\nprobe_every = 1\n{line}\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"sadtlab: error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["0", "-1", "nan"])
+    def test_probe_rho_is_free_when_probes_are_off(self, tmp_path, rho):
+        cfg = parse(tmp_path, IDX + f"[train]\nprobe_every = 0\nprobe_rho = {rho}\n")
+        assert cfg.train.probe_every == 0
+
+    def test_zero_lr0_is_accepted(self, tmp_path):
+        assert parse(tmp_path, IDX + "[train]\nlr0 = 0\n").train.lr0 == 0.0
