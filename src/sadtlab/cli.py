@@ -127,6 +127,19 @@ def _cmd_make_data(args) -> int:
     return 0
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """What a bad config, data file, checkpoint or run directory raises.
+
+    Imported on demand, so a command loads only the modules it runs.
+    """
+    from .config import ConfigError
+    from .data import DataFormatError
+    from .nn import CheckpointError
+    from .report import CompareError
+
+    return ConfigError, DataFormatError, CheckpointError, CompareError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="sadtlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,13 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         "probe": _cmd_probe,
         "make-data": _cmd_make_data,
     }
-    from .config import ConfigError
-    from .data import DataFormatError
-    from .nn import CheckpointError
-
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataFormatError, CheckpointError) as exc:
+    except _input_errors() as exc:  # evaluated only once an exception reaches it
         message = str(exc)
     except OSError as exc:  # a missing or unreadable file
         message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"

@@ -129,6 +129,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"probe_rho must be positive and finite, got {train.probe_rho}")
     if not (math.isfinite(train.lr0) and train.lr0 >= 0):
         raise ConfigError(f"lr0 must be finite and >= 0, got {train.lr0}")
+    # both would only surface at the first step or at model build, after the
+    # run directory is made
+    if data.cutmix and not (math.isfinite(data.cutmix_alpha) and data.cutmix_alpha > 0):
+        raise ConfigError(f"cutmix_alpha must be positive and finite, got {data.cutmix_alpha}")
+    if model.arch == "tiny_mlp" and any(d < 1 for d in model.hidden_dims):
+        raise ConfigError(f"hidden_dims must all be >= 1, got {_join(model.hidden_dims)}")
     if model.arch == "tiny_mlp" and cfg.strategy.id == "sadt_v2":
         raise ConfigError("sadt_v2 needs a conv layer; tiny_mlp has none")
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields, resolved_text,
+    ConfigError, DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields,
+    resolved_text,
 )
 from .data import Dataset, MixedBatch, cutmix, load_cifar_binary, load_idx, make_batches
 from .metrics import estimate_sharpness, evaluate, model_divergence, probe_batches
@@ -87,9 +88,15 @@ def _load_dataset(data: DataConfig) -> tuple[Dataset, Dataset]:
     if data.format == "idx":
         train = load_idx(data.train_images, data.train_labels, data.num_classes)
         test = load_idx(data.test_images, data.test_labels, data.num_classes)
+        sources = data.train_images, data.test_images
     else:
         train = load_cifar_binary(data.train_files, data.num_classes)
         test = load_cifar_binary(data.test_files, data.num_classes)
+        sources = ", ".join(data.train_files), ", ".join(data.test_files)
+    for key, dataset, source in zip(("train_size", "test_size"), (train, test), sources):
+        size = getattr(data, key)
+        if size > dataset.n:
+            raise ConfigError(f"[data] {key} = {size}, but {source} holds {dataset.n} samples")
     return train.subset(data.train_size), test.subset(data.test_size)
 
 
@@ -267,9 +274,12 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
 
 
 def load_run(run_dir) -> dict:
-    """Read a completed run directory back for comparison."""
+    """Read a completed run directory back for comparison; ``env`` is None
+    for a run written before ``env.json`` existed."""
     run_dir = Path(run_dir)
     summary = json.loads((run_dir / SUMMARY_FILE).read_text())
+    env_path = run_dir / ENV_FILE
+    env = json.loads(env_path.read_text()) if env_path.exists() else None
     rows: list[dict] = []
     with open(run_dir / METRICS_FILE, newline="") as fh:
         for raw in csv.DictReader(fh):
@@ -277,4 +287,4 @@ def load_run(run_dir) -> dict:
             for key in _VALUE_COLUMNS:
                 row[key] = float(raw[key]) if raw[key] else None
             rows.append(row)
-    return {"dir": str(run_dir), "summary": summary, "rows": rows}
+    return {"dir": str(run_dir), "summary": summary, "env": env, "rows": rows}

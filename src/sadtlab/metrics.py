@@ -17,6 +17,7 @@ from .autodiff import Tape, Tensor, backward, log_softmax_rows, softmax_cross_en
 from .data import Dataset
 from .nn import Model
 from .optim import GradSet
+from .strategies import one_hot, sam_point
 
 
 @dataclass
@@ -51,18 +52,15 @@ def one_step_sharpness(loss_fn: Callable[[Model], Tensor], model: Model, rho: fl
         loss = loss_fn(model)
         base = loss.item()
         grads = GradSet.from_backward(model.params, backward(loss))
-    norm = grads.global_norm()
-    if norm == 0.0:
+    shifted = sam_point(model, grads, rho)
+    if shifted is None:
         return 0.0, True
-    shifted = model.clone()
-    shifted.params.add_scaled(grads, rho / norm)
     return loss_fn(shifted).item() - base, False
 
 
 def _hard_label_loss(model: Model, images: np.ndarray, labels: np.ndarray) -> Tensor:
     logits = model.forward(Tensor(images))
-    targets = np.eye(model.num_classes, dtype=np.float64)[np.asarray(labels, dtype=np.int64)]
-    return softmax_cross_entropy(logits, Tensor(targets))
+    return softmax_cross_entropy(logits, Tensor(one_hot(labels, model.num_classes)))
 
 
 def probe_batches(

@@ -8,6 +8,7 @@ compared training runs share one initial point.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -306,10 +307,15 @@ def load_checkpoint(path) -> ParamSet:
             offset += 4
             extents = struct.unpack_from(f"<{rank}Q", blob, offset)
             offset += 8 * rank
-            count = int(np.prod(extents)) if rank else 1
+            count = math.prod(extents)  # exact: a corrupt extent overflows any C integer
+            if 8 * count > len(blob) - offset:
+                raise ValueError(f"{name!r} needs {8 * count} bytes, {len(blob) - offset} left")
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(extents)
             offset += 8 * count
         except (struct.error, ValueError) as exc:
             raise CheckpointError(f"truncated checkpoint {path}: {exc}") from exc
         named.append((name, arr.astype(np.float64)))
-    return ParamSet.from_named_arrays(named)
+    try:
+        return ParamSet.from_named_arrays(named)
+    except ValueError as exc:  # e.g. a name corrupted into another entry's
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc

@@ -17,7 +17,7 @@ CURVE_METRICS = {
 
 
 class CompareError(ValueError):
-    """Runs are not comparable (different dataset or model)."""
+    """Runs are not comparable (different dataset, model or BLAS setup)."""
 
 
 @dataclass
@@ -39,10 +39,32 @@ def _curve(rows: list[dict], phase: str, key: str) -> tuple[list[int], list[floa
     return xs, ys
 
 
+def _blas_setup(env: dict) -> dict:
+    """The parts of ``env.json`` that change a run's floats: the BLAS build
+    and its thread variables."""
+    blas = env.get("blas", {})
+    return {
+        "blas name": blas.get("name"), "blas version": blas.get("version"),
+        **env.get("threads", {}),
+    }
+
+
+def _check_blas_setups(runs: list[dict]) -> None:
+    setups = [_blas_setup(r["env"]) for r in runs if r["env"] is not None]
+    for key in dict.fromkeys(k for setup in setups for k in setup):
+        values = {setup.get(key) for setup in setups}
+        if len(values) > 1:
+            raise CompareError(
+                f"runs are not comparable: env.json {key} differs: {sorted(map(str, values))}"
+            )
+
+
 def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
     """Tabulate final test accuracies across runs and emit aligned curves.
 
-    All runs must share one dataset fingerprint and model architecture. The
+    All runs must share one dataset fingerprint and model architecture, and
+    the runs that have an ``env.json`` one BLAS name, version and set of
+    thread variables, since those change the floats. The
     best accuracy per seed column is flagged with '*' in the text table and
     the comparison CSV; aborted runs leave their cell empty, and so does the
     mean of a strategy whose runs all aborted.
@@ -57,6 +79,7 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
             f"runs are not comparable: {len(fingerprints)} dataset fingerprints, "
             f"architectures {sorted(archs)}"
         )
+    _check_blas_setups(runs)
 
     cells: dict[tuple[str, int], float] = {}
     for r in runs:

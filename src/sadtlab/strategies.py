@@ -157,8 +157,13 @@ class Strategy:
             grads = gradient_centralize(grads)
         elif transform == "agc":
             grads = adaptive_gradient_clip(model.params, grads, self.agc_lambda)
-        if sam:
-            grads, flags = _sam_ascent(model, batch, grads, self.rho, trace)
+        if sam:  # the gradient at the sam point
+            shifted = sam_point(model, grads, self.rho)
+            if shifted is None:  # skip the ascent: the step degenerates to baseline
+                flags = ("zero-gradient",)
+            else:
+                _mark(trace, "perturbed", shifted.params)
+                _, _, grads = _task_pass(shifted, batch)
         kl_loss = 0.0
         if teachers:
             rngs = _noise_rngs(noise_seed, len(teachers))
@@ -214,20 +219,14 @@ class Strategy:
         return lambda: params.restore(up_snap)
 
 
-def _sam_ascent(
-    model: Model, batch: MixedBatch, grads: GradSet, rho: float, trace: StepTrace | None
-) -> tuple[GradSet, tuple[str, ...]]:
-    """Take the gradient at a copy of the weights moved rho along the
-    normalized gradient. A zero gradient skips the ascent (the step
-    degenerates to baseline) and is flagged."""
+def sam_point(model: Model, grads: GradSet, rho: float) -> Model | None:
+    """A copy of the model at w + rho * g/||g||, or None for a zero gradient."""
     norm = grads.global_norm()
     if norm == 0.0:
-        return grads, ("zero-gradient",)
+        return None
     shifted = model.clone()
     shifted.params.add_scaled(grads, rho / norm)
-    _mark(trace, "perturbed", shifted.params)
-    _, _, grads = _task_pass(shifted, batch)
-    return grads, ()
+    return shifted
 
 
 def _noise_rngs(noise_seed, count: int) -> list[np.random.Generator]:

@@ -12,13 +12,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sadtlab import cli
-from sadtlab.harness import environment
+from sadtlab.config import ConfigError, parse_config
+from sadtlab.harness import environment, run_experiment
 from sadtlab.nn import build_simple_cnn, load_checkpoint
 
 STRATEGIES = ("baseline", "sadt_v1")
@@ -128,6 +131,27 @@ def test_missing_dataset_file_prints_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "run").exists()  # nothing is written before the inputs load
 
 
+@pytest.mark.parametrize("key, value, source, count", [
+    ("train_size", 64, "train-images-idx3-ubyte", 48),
+    ("test_size", 17, "t10k-images-idx3-ubyte", 16),
+])
+def test_size_beyond_the_file_prints_one_error_line(session, tmp_path, capsys, key, value,
+                                                     source, count):
+    root, _, _ = session
+    config = tmp_path / "big.ini"
+    text = _config("baseline").replace("data/", f"{root}/data/")
+    config.write_text(text.replace(f"{key} = {count}\n", f"{key} = {value}\n"))
+    message = f"[data] {key} = {value}, but {root}/data/{source} holds {count} samples"
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError) as info:
+        run_experiment(parse_config(config, out_dir=str(out)))
+    assert str(info.value) == message
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"sadtlab: error: {message}\n")
+    assert not out.exists()
+
+
 def test_abort_checkpoint_holds_the_initial_weights(session, tmp_path, monkeypatch):
     # rho = 1e300 makes the first step's ascent pass non-finite
     root, _, _ = session
@@ -142,3 +166,14 @@ def test_abort_checkpoint_holds_the_initial_weights(session, tmp_path, monkeypat
     assert saved.names() == initial.names()
     for e in initial:
         assert saved.get(e.name).data.tobytes() == e.tensor.data.tobytes(), e.name
+
+
+def test_importing_the_cli_loads_no_numerics():
+    # `sadtlab --help` and argument errors need argparse only; each command
+    # imports what it runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, sadtlab.cli; print(sorted({'numpy', 'sadtlab.autodiff'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"

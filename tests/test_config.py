@@ -303,3 +303,47 @@ class TestTrainValues:
 
     def test_zero_lr0_is_accepted(self, tmp_path):
         assert parse(tmp_path, IDX + "[train]\nlr0 = 0\n").train.lr0 == 0.0
+
+
+BAD_DATA_MODEL_VALUES = [
+    ("cutmix_alpha = 0", "cutmix_alpha must be positive and finite, got 0.0"),
+    ("cutmix_alpha = -1", "cutmix_alpha must be positive and finite, got -1.0"),
+    ("cutmix_alpha = nan", "cutmix_alpha must be positive and finite, got nan"),
+    ("cutmix_alpha = inf", "cutmix_alpha must be positive and finite, got inf"),
+    ("[model]\narch = tiny_mlp\nhidden_dims = 0", "hidden_dims must all be >= 1, got 0"),
+    ("[model]\narch = tiny_mlp\nhidden_dims = 8, -3", "hidden_dims must all be >= 1, got 8, -3"),
+]
+BAD_DATA_MODEL_IDS = [
+    "alpha-zero", "alpha-negative", "alpha-nan", "alpha-inf", "hidden-zero", "hidden-negative",
+]
+
+
+class TestDataAndModelValues:
+    """A cutmix_alpha that fails at the first step, or a hidden width that
+    fails at model build, is rejected before anything is written."""
+
+    @pytest.mark.parametrize("lines, message", BAD_DATA_MODEL_VALUES, ids=BAD_DATA_MODEL_IDS)
+    def test_parse_config_rejects(self, tmp_path, lines, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse(tmp_path, IDX + f"{lines}\n")
+
+    @pytest.mark.parametrize("lines, message", BAD_DATA_MODEL_VALUES, ids=BAD_DATA_MODEL_IDS)
+    def test_cli_prints_one_error_line_and_returns_2(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "run.ini"
+        path.write_text(IDX + f"{lines}\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"sadtlab: error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "nan"])
+    def test_cutmix_alpha_is_free_when_cutmix_is_off(self, tmp_path, alpha):
+        assert not parse(tmp_path, IDX + f"cutmix = false\ncutmix_alpha = {alpha}\n").data.cutmix
+
+    def test_hidden_dims_are_free_for_the_cnn(self, tmp_path):
+        assert parse(tmp_path, IDX + "[model]\nhidden_dims = 0\n").model.hidden_dims == [0]
+
+    def test_no_hidden_layer_is_accepted(self, tmp_path):
+        text = IDX + "[model]\narch = tiny_mlp\nhidden_dims =\n"
+        assert parse(tmp_path, text).model.hidden_dims == []

@@ -6,6 +6,11 @@ raises ``CheckpointError`` or ``DataFormatError``, never a stray
 A label byte outside ``[0, num_classes)`` is a ``DataFormatError`` naming the
 file too, not the bare ``ValueError`` of ``Dataset``.
 
+Corrupt bytes fail the same way: a checkpoint or IDX header with one to
+three bytes changed either loads or raises ``CheckpointError`` or
+``DataFormatError`` (hypothesis), never an ``OverflowError`` from an extent
+too large for a C integer.
+
 Checkpoint format v1 carries no entry count, so a file cut exactly between
 two entries, or right after the header, still loads: as the shorter set of
 the entries before the cut. Detecting that is left for checkpoint v2.
@@ -15,10 +20,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sadtlab import cli, synth
 from sadtlab.data import CIFAR_RECORD_BYTES, DataFormatError, load_cifar_binary, load_idx
-from sadtlab.nn import CHECKPOINT_MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from sadtlab.nn import (
+    CHECKPOINT_MAGIC, CheckpointError, build_simple_cnn, load_checkpoint, save_checkpoint,
+)
 
 
 def _entry_ends(params) -> list[int]:
@@ -61,6 +70,88 @@ class TestCheckpointPrefixes:
         assert captured.out == ""
         assert captured.err.startswith(f"sadtlab: error: truncated checkpoint {cut}: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def _mutations(span: int):
+    """One to three (offset, byte) overwrites within the first ``span`` bytes."""
+    return st.lists(st.tuples(st.integers(0, span - 1), st.integers(0, 255)), min_size=1, max_size=3)
+
+
+def _mutate(blob: bytes, mutations) -> bytes:
+    out = bytearray(blob)
+    for offset, value in mutations:
+        out[offset] = value
+    return bytes(out)
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCorruptCheckpoint:
+    # 8x8 simple_cnn: magic (8) + version (4) + name length (4) + "conv1.weight"
+    # (12) + rank (4) put the first u64 extent at bytes 32-39
+    FIRST_EXTENT_TOP = 39
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(build_simple_cnn((1, 8, 8), 3, seed=0).params, path)
+        return path.read_bytes()
+
+    def test_extent_beyond_any_c_integer_raises(self, blob, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_mutate(blob, [(self.FIRST_EXTENT_TOP, 142)]))
+        with pytest.raises(CheckpointError, match="'conv1.weight' needs"):
+            load_checkpoint(path)
+
+    def test_name_corrupted_into_a_later_entry_raises(self, blob, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_mutate(blob, [(20, ord("2"))]))  # conv1.weight -> conv2.weight
+        with pytest.raises(CheckpointError, match="duplicate parameter names"):
+            load_checkpoint(path)
+
+    def test_cli_probe_prints_one_error_line_and_returns_2(self, blob, tmp_path, capsys):
+        synth.generate_dataset_files(tmp_path / "data", 4, 4, 3, 8, 8, seed=1)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_mutate(blob, [(self.FIRST_EXTENT_TOP, 142)]))
+        argv = ["probe", "--checkpoint", str(path), "--data", str(tmp_path / "data")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sadtlab: error: truncated checkpoint {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @FUZZ
+    @given(mutations=_mutations(200))
+    def test_mutated_bytes_load_or_raise_checkpoint_error(self, blob, tmp_path, mutations):
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(_mutate(blob, mutations))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+
+class TestCorruptIdxHeader:
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = synth.generate_dataset_files(tmp_path / "data", 6, 2, 3, 8, 8, seed=1)
+        return {"images": Path(paths["train_images"]), "labels": Path(paths["train_labels"])}
+
+    @FUZZ
+    @given(corrupt=st.one_of(  # the header is magic + 3 dims, or magic + 1 dim
+        _mutations(16).map(lambda m: ("images", m)), _mutations(8).map(lambda m: ("labels", m)),
+    ))
+    def test_mutated_header_loads_or_raises_data_format_error(self, files, tmp_path, corrupt):
+        which, mutations = corrupt
+        path = tmp_path / "fuzz"
+        path.write_bytes(_mutate(files[which].read_bytes(), mutations))
+        files = {**files, which: path}
+        try:
+            load_idx(files["images"], files["labels"], num_classes=3)
+        except DataFormatError:
+            pass
 
 
 class TestIdxPrefixes:

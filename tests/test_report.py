@@ -4,17 +4,18 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sadtlab import cli
 from sadtlab.harness import CSV_HEADER, RunRow
-from sadtlab.report import compare_runs, line_chart_svg
+from sadtlab.report import CompareError, compare_runs, line_chart_svg
 
 
-def write_run(run_dir, strategy, seed, accuracy, aborted=None):
+def write_run(run_dir, strategy, seed, accuracy, aborted=None, fingerprint="f" * 64):
     run_dir.mkdir()
     summary = {
         "strategy": strategy,
         "arch": "simple_cnn",
         "seed": seed,
-        "dataset_fingerprint": "f" * 64,
+        "dataset_fingerprint": fingerprint,
         "final_test_accuracy": accuracy,
         "aborted": aborted,
     }
@@ -39,6 +40,83 @@ class TestCompareRuns:
         assert lines[:2] == ["strategy,seed_0,seed_1,mean", "baseline,0.500000*,,0.500000"]
         assert lines[2] == "sadt_v1,,,"
         assert report.table_text.splitlines()[2].split() == ["sadt_v1", "-", "-", "-"]
+
+
+ENV = {
+    "numpy": "2.0.0",
+    "blas": {"name": "scipy-openblas", "version": "0.3.27", "configuration": "USE64BITINT"},
+    "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None},
+    "cpu_count": 2,
+}
+
+
+def write_env(run_dir, blas=None, threads=None, **rest):
+    env = {**ENV, "blas": {**ENV["blas"], **(blas or {})},
+           "threads": {**ENV["threads"], **(threads or {})}, **rest}
+    (run_dir / "env.json").write_text(json.dumps(env))
+
+
+def incomparable_runs(tmp_path, case):
+    """Two or more run directories that ``compare`` must reject."""
+    if case == "one-run":
+        return [write_run(tmp_path / "a", "baseline", 0, 0.5)]
+    if case == "fingerprint":  # e.g. two runs of different train_size
+        return [write_run(tmp_path / "a", "baseline", 0, 0.5),
+                write_run(tmp_path / "b", "sadt_v1", 0, 0.6, fingerprint="e" * 64)]
+    if case == "duplicate":
+        return [write_run(tmp_path / "a", "baseline", 0, 0.5),
+                write_run(tmp_path / "b", "baseline", 0, 0.6)]
+    runs = [write_run(tmp_path / "a", "baseline", 0, 0.5),
+            write_run(tmp_path / "b", "sadt_v1", 0, 0.6)]
+    write_env(runs[0])
+    write_env(runs[1], **{
+        "blas-name": {"blas": {"name": "mkl"}},
+        "blas-version": {"blas": {"version": "0.3.21"}},
+        "thread-unset": {"threads": {"OPENBLAS_NUM_THREADS": None}},
+        "thread-count": {"threads": {"OMP_NUM_THREADS": "2"}},
+    }[case])
+    return runs
+
+
+COMPARE_ERRORS = {
+    "one-run": "compare needs at least two runs",
+    "fingerprint": "runs are not comparable: 2 dataset fingerprints, architectures ['simple_cnn']",
+    "duplicate": "duplicate run for strategy/seed ('baseline', 0)",
+    "blas-name": "runs are not comparable: env.json blas name differs: ['mkl', 'scipy-openblas']",
+    "blas-version": "runs are not comparable: env.json blas version differs: ['0.3.21', '0.3.27']",
+    "thread-unset": (
+        "runs are not comparable: env.json OPENBLAS_NUM_THREADS differs: ['1', 'None']"
+    ),
+    "thread-count": "runs are not comparable: env.json OMP_NUM_THREADS differs: ['2', 'None']",
+}
+
+
+class TestCompareErrors:
+    @pytest.mark.parametrize("case", COMPARE_ERRORS)
+    def test_compare_runs_names_the_mismatch(self, tmp_path, case):
+        runs = incomparable_runs(tmp_path, case)
+        with pytest.raises(CompareError) as info:
+            compare_runs(runs, tmp_path / "cmp")
+        assert str(info.value) == COMPARE_ERRORS[case]
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("case", COMPARE_ERRORS)
+    def test_cli_prints_one_error_line_and_returns_2(self, tmp_path, capsys, case):
+        runs = incomparable_runs(tmp_path, case)
+        argv = ["compare", "--logs", *map(str, runs), "--out", str(tmp_path / "cmp")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sadtlab: error: {COMPARE_ERRORS[case]}\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_equal_environments_and_runs_without_one_compare(self, tmp_path):
+        runs = [write_run(tmp_path / name, sid, 0, 0.5)
+                for name, sid in (("a", "baseline"), ("b", "sadt_v1"), ("c", "sam"))]
+        write_env(runs[0])
+        write_env(runs[1], numpy="1.26.4", cpu_count=8)  # neither changes the BLAS setup
+        # runs[2] predates env.json and skips the check
+        assert compare_runs(runs, tmp_path / "cmp").strategies == ["baseline", "sam", "sadt_v1"]
 
 
 def write_curve_run(run_dir, strategy, accuracies):
