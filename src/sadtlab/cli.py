@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+
+
+class UsageError(Exception):
+    """An option value out of its range."""
 
 
 def _add_train(sub: argparse._SubParsersAction) -> None:
@@ -52,7 +57,7 @@ def _add_make_data(sub: argparse._SubParsersAction) -> None:
 
 
 def _resolve_probe_data(spec: str):
-    from .data import load_cifar_binary, load_idx
+    from .data import DataFormatError, load_cifar_binary, load_idx
 
     if spec.endswith(".bin"):
         return load_cifar_binary([spec])
@@ -65,7 +70,7 @@ def _resolve_probe_data(spec: str):
         lbls = root / f"{stem}-labels-idx1-ubyte"
         if imgs.exists() and lbls.exists():
             return load_idx(imgs, lbls)
-    raise SystemExit(f"no IDX pair found under {spec}")
+    raise DataFormatError(f"no IDX pair found under {spec}")
 
 
 def _cmd_train(args) -> int:
@@ -92,13 +97,33 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
-    from .metrics import estimate_sharpness, model_divergence, probe_batches
-    from .nn import load_checkpoint, model_from_params
+def _check_probe_args(args) -> None:
+    for flag, count in (("--batches", args.batches), ("--batch-size", args.batch_size)):
+        if count < 1:
+            raise UsageError(f"{flag} must be >= 1, got {count}")
+    if not (math.isfinite(args.rho) and args.rho > 0):
+        raise UsageError(f"--rho must be positive and finite, got {args.rho}")
 
+
+def _param_shapes(model) -> list[tuple[str, tuple[int, ...]]]:
+    return [(e.name, e.tensor.shape) for e in model.params.entries]
+
+
+def _cmd_probe(args) -> int:
+    from .metrics import estimate_sharpness, model_divergence, probe_batches, probe_logits
+    from .nn import CheckpointError, load_checkpoint, model_from_params
+
+    _check_probe_args(args)
     dataset = _resolve_probe_data(args.data)
     shape = dataset.images.shape[1:]
     model = model_from_params(load_checkpoint(args.checkpoint), input_shape=shape)
+    if args.against:
+        other = model_from_params(load_checkpoint(args.against), input_shape=shape)
+        if _param_shapes(other) != _param_shapes(model):
+            raise CheckpointError(
+                f"{args.against}: architecture differs from {args.checkpoint}; "
+                "divergence is undefined"
+            )
     batches = probe_batches(dataset, args.batches, args.batch_size)
     sharp = estimate_sharpness(model, batches, args.rho)
     result = {
@@ -107,9 +132,8 @@ def _cmd_probe(args) -> int:
         "batches": sharp.batches,
         "zero_grad_batches": sharp.zero_grad_batches,
     }
-    if args.against:
-        other = model_from_params(load_checkpoint(args.against), input_shape=shape)
-        div = model_divergence(model, other, [img for img, _ in batches])
+    if args.against:  # the sharpness pass gave this model's logits; one forward gives the other's
+        div = model_divergence(sharp.logits, probe_logits(other, batches))
         result["divergence"] = div.value
         result["divergence_samples"] = div.samples
     print(json.dumps(result, indent=2))
@@ -128,16 +152,17 @@ def _cmd_make_data(args) -> int:
 
 
 def _input_errors() -> tuple[type[Exception], ...]:
-    """What a bad config, data file, checkpoint or run directory raises.
+    """What a bad option value, config, data file, checkpoint or run directory
+    raises.
 
     Imported on demand, so a command loads only the modules it runs.
     """
     from .config import ConfigError
     from .data import DataFormatError
+    from .harness import CompareError
     from .nn import CheckpointError
-    from .report import CompareError
 
-    return ConfigError, DataFormatError, CheckpointError, CompareError
+    return UsageError, ConfigError, DataFormatError, CheckpointError, CompareError
 
 
 def main(argv: list[str] | None = None) -> int:

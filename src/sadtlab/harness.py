@@ -29,7 +29,9 @@ from .config import (
     resolved_text,
 )
 from .data import Dataset, MixedBatch, cutmix, load_cifar_binary, load_idx, make_batches
-from .metrics import estimate_sharpness, evaluate, model_divergence, probe_batches
+from .metrics import (
+    estimate_sharpness, evaluate, model_divergence, probe_batches, probe_logits,
+)
 from .nn import Model, build_simple_cnn, build_tiny_mlp, save_checkpoint
 from .optim import AdamState, Schedule, cosine_lr
 from .strategies import NonFiniteLossError
@@ -165,7 +167,11 @@ def _spawn(seed: int, *key: int) -> np.random.SeedSequence:
 def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """Train per the config, logging every step, eval, and probe.
 
-    Writes metrics.csv, resolved.ini, env.json, summary.json,
+    A probe row holds the sharpness at the current weights and the divergence
+    from the initial model. The initial model's logits on the probe batches
+    are computed once, before the first epoch, and each probe's sharpness
+    pass supplies the current logits, so no copy of the initial model is
+    kept. Writes metrics.csv, resolved.ini, env.json, summary.json,
     batch_hashes.txt, and the final checkpoint into the output directory,
     which is made only once the data has loaded. A non-finite loss aborts the run after saving the
     weights before the failing step and flushing the log.
@@ -178,13 +184,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     out.mkdir(parents=True, exist_ok=True)
     (out / RESOLVED_FILE).write_text(resolved_text(cfg))
     (out / ENV_FILE).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
-    initial_model = model.clone()
     state = AdamState(model.params)
     batches_per_epoch = (train.n + batch_size - 1) // batch_size
     total_steps = epochs * batches_per_epoch
     schedule = Schedule(total_steps, opts.lr0) if total_steps else None
     sharp_batches = probe_batches(train, opts.probe_batches, batch_size)
-    div_batches = [images for images, _ in sharp_batches]
 
     log = RunLog(cfg)
 
@@ -196,6 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
             )
 
     eval_pair(0, 0)
+    initial_logits = probe_logits(model, sharp_batches) if opts.probe_every else []
     step = 0
     try:
         for epoch in range(1, epochs + 1):
@@ -223,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
             eval_pair(step, epoch)
             if opts.probe_every and epoch % opts.probe_every == 0:
                 sharp = estimate_sharpness(model, sharp_batches, opts.probe_rho)
-                div = model_divergence(model, initial_model, div_batches)
+                div = model_divergence(sharp.logits, initial_logits)
                 log.rows.append(
                     RunRow(step, epoch, "probe", sharpness=sharp.value, divergence=div.value)
                 )
@@ -273,18 +278,47 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
         (out / WALL_TIMES_FILE).write_text("\n".join(lines) + "\n")
 
 
+class CompareError(ValueError):
+    """Runs are not comparable (different dataset, model or BLAS setup), or a
+    run directory cannot be read back."""
+
+
+SUMMARY_KEYS = ("strategy", "arch", "seed", "dataset_fingerprint", "final_test_accuracy")
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        value = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+        raise CompareError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise CompareError(f"{path}: not a JSON object")
+    return value
+
+
 def load_run(run_dir) -> dict:
     """Read a completed run directory back for comparison; ``env`` is None
-    for a run written before ``env.json`` existed."""
+    for a run written before ``env.json`` existed. A file that does not parse,
+    or a summary without one of ``SUMMARY_KEYS``, raises ``CompareError``."""
     run_dir = Path(run_dir)
-    summary = json.loads((run_dir / SUMMARY_FILE).read_text())
+    summary = _read_json_object(run_dir / SUMMARY_FILE)
+    missing = [key for key in SUMMARY_KEYS if key not in summary]
+    if missing:
+        raise CompareError(f"{run_dir / SUMMARY_FILE}: missing {', '.join(missing)}")
     env_path = run_dir / ENV_FILE
-    env = json.loads(env_path.read_text()) if env_path.exists() else None
+    env = _read_json_object(env_path) if env_path.exists() else None
     rows: list[dict] = []
-    with open(run_dir / METRICS_FILE, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            row = {"step": int(raw["step"]), "epoch": int(raw["epoch"]), "phase": raw["phase"]}
-            for key in _VALUE_COLUMNS:
-                row[key] = float(raw[key]) if raw[key] else None
-            rows.append(row)
+    metrics_path = run_dir / METRICS_FILE
+    with open(metrics_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            for raw in reader:
+                row = {"step": int(raw["step"]), "epoch": int(raw["epoch"]), "phase": raw["phase"]}
+                for key in _VALUE_COLUMNS:
+                    row[key] = float(raw[key]) if raw[key] else None
+                rows.append(row)
+        except (KeyError, TypeError, ValueError) as exc:  # no such column, a short row, not a number
+            raise CompareError(
+                f"{metrics_path}: line {reader.line_num}: bad or missing cell: {exc}"
+            ) from exc
     return {"dir": str(run_dir), "summary": summary, "env": env, "rows": rows}

@@ -2,13 +2,15 @@
 
 Sharpness approximates the worst loss increase inside an L2 ball of radius
 rho by a single normalized ascent step, averaged over batches. Divergence is
-the mean KL between two models' output distributions over the data.
+the mean KL between two models' output distributions over the data, computed
+from their per-batch logits: the sharpness probe returns the model's logits
+from its base pass, so a probe runs one forward at w per batch, not two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,6 +28,8 @@ class SharpnessEstimate:
     rho: float
     batches: int
     zero_grad_batches: int = 0
+    # each batch's logits at w, from the taped base pass of the ascent
+    logits: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -58,8 +62,13 @@ def one_step_sharpness(loss_fn: Callable[[Model], Tensor], model: Model, rho: fl
     return loss_fn(shifted).item() - base, False
 
 
-def _hard_label_loss(model: Model, images: np.ndarray, labels: np.ndarray) -> Tensor:
+def _hard_label_loss(
+    model: Model, images: np.ndarray, labels: np.ndarray, seen: list | None = None
+) -> Tensor:
+    """Mean cross-entropy of ``model`` on one batch; appends the logits to ``seen``."""
     logits = model.forward(Tensor(images))
+    if seen is not None:
+        seen.append(logits.data)
     return softmax_cross_entropy(logits, Tensor(one_hot(labels, model.num_classes)))
 
 
@@ -74,37 +83,48 @@ def probe_batches(
     ]
 
 
+def probe_logits(
+    model: Model, data_batches: list[tuple[np.ndarray, np.ndarray]]
+) -> list[np.ndarray]:
+    """``model``'s logits on each batch's images, one off-tape forward each."""
+    return [model.forward(Tensor(images)).data for images, _ in data_batches]
+
+
 def estimate_sharpness(
     model: Model, data_batches: list[tuple[np.ndarray, np.ndarray]], rho: float
 ) -> SharpnessEstimate:
-    """Average one-step sharpness of the mean cross-entropy over batches."""
+    """Average one-step sharpness of the mean cross-entropy over batches.
+
+    ``logits`` holds each batch's logits at w from the base pass: the same
+    bits as ``probe_logits(model, data_batches)``, without its forwards.
+    """
     if not data_batches:
         raise ValueError("estimate_sharpness needs at least one batch")
     values = []
     zero_batches = 0
+    logits: list[np.ndarray] = []
     for images, labels in data_batches:
+        seen: list[np.ndarray] = []
         value, zero = one_step_sharpness(
-            lambda m: _hard_label_loss(m, images, labels), model, rho
+            lambda m: _hard_label_loss(m, images, labels, seen), model, rho
         )
         values.append(value)
         zero_batches += int(zero)
+        logits.append(seen[0])  # the pass at w; a second one is at the ascent point
     return SharpnessEstimate(
-        math.fsum(values) / len(values), rho, len(values), zero_batches
+        math.fsum(values) / len(values), rho, len(values), zero_batches, logits
     )
 
 
 def model_divergence(
-    model_a: Model, model_b: Model, data_batches: list[np.ndarray]
+    logits_a: list[np.ndarray], logits_b: list[np.ndarray]
 ) -> DivergenceEstimate:
-    """Mean over all samples of KL(softmax(a(x)) || softmax(b(x)))."""
-    shapes_a = [(e.name, e.tensor.shape) for e in model_a.params.entries]
-    shapes_b = [(e.name, e.tensor.shape) for e in model_b.params.entries]
-    if shapes_a != shapes_b:
-        raise ValueError("model architectures differ; divergence is undefined")
+    """Mean over all samples of KL(softmax(a) || softmax(b)), from two models'
+    logits on the same batches; runs no forward pass."""
     per_sample: list[float] = []
-    for images in data_batches:
-        la = model_a.forward(Tensor(images)).data
-        lb = model_b.forward(Tensor(images)).data
+    for la, lb in zip(logits_a, logits_b, strict=True):
+        if la.shape != lb.shape:
+            raise ValueError(f"logits of shape {la.shape} against {lb.shape}")
         lp = log_softmax_rows(la)
         lq = log_softmax_rows(lb)
         rows = np.sum(np.exp(lp) * (lp - lq), axis=1)

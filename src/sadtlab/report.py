@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .harness import load_run
+from .harness import CompareError, load_run
 from .strategies import STRATEGY_IDS
 
 CURVE_METRICS = {
@@ -14,10 +14,6 @@ CURVE_METRICS = {
     "val_accuracy": ("eval_test", "accuracy"),
     "val_loss": ("eval_test", "task_loss"),
 }
-
-
-class CompareError(ValueError):
-    """Runs are not comparable (different dataset, model or BLAS setup)."""
 
 
 @dataclass

@@ -22,7 +22,7 @@ import pytest
 from sadtlab import cli
 from sadtlab.config import ConfigError, parse_config
 from sadtlab.harness import environment, run_experiment
-from sadtlab.nn import build_simple_cnn, load_checkpoint
+from sadtlab.nn import build_simple_cnn, load_checkpoint, save_checkpoint
 
 STRATEGIES = ("baseline", "sadt_v1")
 
@@ -150,6 +150,54 @@ def test_size_beyond_the_file_prints_one_error_line(session, tmp_path, capsys, k
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"sadtlab: error: {message}\n")
     assert not out.exists()
+
+
+PROBE_ARGS = ["probe", "--checkpoint", "runs/baseline/final.ckpt", "--data", "data"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--batches", "0"], "--batches must be >= 1, got 0"),
+    (["--batch-size", "0"], "--batch-size must be >= 1, got 0"),
+    (["--rho", "-1"], "--rho must be positive and finite, got -1.0"),
+    (["--rho", "0"], "--rho must be positive and finite, got 0.0"),
+    (["--rho", "nan"], "--rho must be positive and finite, got nan"),
+    (["--rho", "inf"], "--rho must be positive and finite, got inf"),
+])
+def test_probe_option_out_of_range_prints_one_error_line(session, monkeypatch, capsys, extra,
+                                                         message):
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    assert cli.main(PROBE_ARGS + extra) == 2
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+
+
+def test_probe_without_idx_pair_prints_one_error_line(session, tmp_path, monkeypatch, capsys):
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    argv = ["probe", "--checkpoint", "runs/baseline/final.ckpt", "--data", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"sadtlab: error: no IDX pair found under {tmp_path}\n")
+
+
+def test_probe_against_another_architecture_prints_one_error_line(session, tmp_path,
+                                                                  monkeypatch, capsys):
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    other = tmp_path / "two-class.ckpt"
+    save_checkpoint(build_simple_cnn((1, 28, 28), 2, seed=0).params, other)
+    assert cli.main(PROBE_ARGS + ["--against", str(other)]) == 2
+    message = f"{other}: architecture differs from runs/baseline/final.ckpt; divergence is undefined"
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+
+
+def test_probe_against_itself_reports_zero_divergence(session, monkeypatch, capsys):
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    argv = PROBE_ARGS + ["--batches", "2", "--batch-size", "8",
+                         "--against", "runs/baseline/final.ckpt"]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["divergence"], result["divergence_samples"]) == (0.0, 16)
 
 
 def test_abort_checkpoint_holds_the_initial_weights(session, tmp_path, monkeypatch):

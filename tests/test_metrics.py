@@ -1,12 +1,20 @@
 """The promises of the ``metrics`` docstrings, on an 8x8 ``simple_cnn``:
-the sharpness probe leaves the weights bitwise as they were, a model's
-divergence from itself is exactly 0, and evaluation does not depend on
-dataset order."""
+the sharpness probe leaves the weights bitwise as they were and returns the
+logits of an off-tape forward, a model's divergence from itself is exactly 0,
+and evaluation does not depend on dataset order. Then the probes of
+``run_experiment``: the divergence column is the one two full forwards of
+both models give, and each probe batch costs two forwards per probe plus one
+per run for the initial model."""
+
+import math
 
 import numpy as np
 import pytest
 
-from sadtlab.data import Dataset
+from sadtlab import harness, synth
+from sadtlab.autodiff import Tensor, log_softmax_rows
+from sadtlab.config import parse_config
+from sadtlab.data import Dataset, load_idx
 from sadtlab.metrics import (
     _hard_label_loss,
     estimate_sharpness,
@@ -14,8 +22,9 @@ from sadtlab.metrics import (
     model_divergence,
     one_step_sharpness,
     probe_batches,
+    probe_logits,
 )
-from sadtlab.nn import build_simple_cnn
+from sadtlab.nn import Model, build_simple_cnn
 
 CLASSES = 3
 
@@ -52,9 +61,18 @@ def test_estimate_sharpness_restores_params_bitwise(model, dataset):
     assert _bits(model) == before
 
 
+def test_sharpness_logits_are_those_of_an_off_tape_forward(model, dataset):
+    batches = probe_batches(dataset, 3, 4)
+    estimate = estimate_sharpness(model, batches, rho=0.05)
+    assert len(estimate.logits) == len(batches)
+    for logits, (images, _) in zip(estimate.logits, batches):
+        assert logits.tobytes() == model.forward(Tensor(images)).data.tobytes()
+
+
 def test_divergence_from_itself_is_exactly_zero(model, dataset):
-    batches = [images for images, _ in probe_batches(dataset, 3, 4)]
-    result = model_divergence(model, model, batches)
+    batches = probe_batches(dataset, 3, 4)
+    sharp = estimate_sharpness(model, batches, rho=0.05)
+    result = model_divergence(sharp.logits, probe_logits(model, batches))
     assert result.value == 0.0
     assert result.samples == dataset.n
 
@@ -66,3 +84,86 @@ def test_evaluate_does_not_depend_on_order(model, dataset):
     shuffled = evaluate(model, permuted, batch_size=4)
     assert shuffled.accuracy == plain.accuracy
     assert shuffled.mean_loss.hex() == plain.mean_loss.hex()
+
+
+EPOCHS, PROBE_BATCHES, BATCH = 3, 2, 8
+
+
+@pytest.fixture
+def probe_config(tmp_path):
+    """A 3-epoch run on 8x8 synthetic digits with a probe every epoch."""
+    paths = synth.generate_dataset_files(tmp_path / "data", 24, 8, 3, 8, 8, seed=3)
+    config = tmp_path / "probe.ini"
+    config.write_text(
+        "[data]\n"
+        + "".join(f"{key} = {path}\n" for key, path in paths.items())
+        + "train_size = 24\ntest_size = 8\nnum_classes = 3\n"
+        "[strategy]\nid = baseline\n"
+        f"[train]\nepochs = {EPOCHS}\nbatch_size = {BATCH}\nlr0 = 0.01\nseed = 1\n"
+        f"probe_every = 1\nprobe_batches = {PROBE_BATCHES}\n"
+        f"[output]\ndir = {tmp_path / 'run'}\n"
+    )
+    return parse_config(config)
+
+
+def _two_model_divergence(model_a: Model, model_b: Model, images: list[np.ndarray]) -> float:
+    """KL(a || b) from one full forward of each model per batch."""
+    per_sample = []
+    for x in images:
+        lp = log_softmax_rows(model_a.forward(Tensor(x)).data)
+        lq = log_softmax_rows(model_b.forward(Tensor(x)).data)
+        per_sample.extend(float(r) for r in np.sum(np.exp(lp) * (lp - lq), axis=1))
+    return math.fsum(per_sample) / len(per_sample)
+
+
+def test_run_divergence_matches_two_model_forwards(probe_config, monkeypatch):
+    probed: list[Model] = []  # the weights each probe saw
+    sharpness = harness.estimate_sharpness
+
+    def record(model, batches, rho):
+        probed.append(model.clone())
+        return sharpness(model, batches, rho)
+
+    monkeypatch.setattr(harness, "estimate_sharpness", record)
+    log = harness.run_experiment(probe_config)
+    train = load_idx(probe_config.data.train_images, probe_config.data.train_labels)
+    initial = build_simple_cnn((1, 8, 8), 3, probe_config.model.init_seed)
+    images = [x for x, _ in probe_batches(train, PROBE_BATCHES, BATCH)]
+    expected = [_two_model_divergence(m, initial, images).hex() for m in probed]
+    got = [row.divergence.hex() for row in log.rows if row.phase == "probe"]
+    assert len(got) == EPOCHS and got == expected
+    assert len(set(got)) == EPOCHS  # the weights moved between probes
+
+
+@pytest.mark.parametrize("probe_every", [1, 0])
+def test_each_probe_batch_costs_two_forwards_per_probe(probe_config, monkeypatch, probe_every):
+    probe_config.train.probe_every = probe_every
+    forwards = {"estimate_sharpness": [], "model_divergence": [], "probe_logits": []}
+    count = [0]
+    forward = Model.forward
+
+    def counted(self, images):
+        count[0] += 1
+        return forward(self, images)
+
+    def counting(name):
+        inner = getattr(harness, name)
+
+        def wrapper(*args):
+            before = count[0]
+            result = inner(*args)
+            forwards[name].append(count[0] - before)
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(Model, "forward", counted)
+    for name in forwards:
+        monkeypatch.setattr(harness, name, counting(name))
+    harness.run_experiment(probe_config)
+    probes = EPOCHS if probe_every else 0
+    assert forwards == {
+        "estimate_sharpness": [2 * PROBE_BATCHES] * probes,  # at w and at the ascent point
+        "model_divergence": [0] * probes,
+        "probe_logits": [PROBE_BATCHES] if probe_every else [],  # the initial model, once
+    }

@@ -119,6 +119,53 @@ class TestCompareErrors:
         assert compare_runs(runs, tmp_path / "cmp").strategies == ["baseline", "sam", "sadt_v1"]
 
 
+def unreadable_runs(tmp_path, case):
+    """Two run directories, the first with a file ``compare`` cannot read;
+    returns them and the path and message the error names."""
+    runs = [write_run(tmp_path / "a", "baseline", 0, 0.5),
+            write_run(tmp_path / "b", "sadt_v1", 0, 0.6)]
+    bad = runs[0] / {"metrics-cell": "metrics.csv", "env-json": "env.json"}.get(
+        case, "summary.json")
+    if case == "missing-keys":
+        summary = json.loads(bad.read_text())
+        del summary["strategy"], summary["seed"]
+        bad.write_text(json.dumps(summary))
+    elif case == "metrics-cell":
+        bad.write_text(bad.read_text().replace("0,0,eval_train", "x,0,eval_train"))
+    else:
+        bad.write_text("[1, 2]" if case == "not-an-object" else "{bad")
+    message = {
+        "summary-json": "not valid JSON: Expecting property name enclosed in double quotes: "
+                        "line 1 column 2 (char 1)",
+        "env-json": "not valid JSON: Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1)",
+        "not-an-object": "not a JSON object",
+        "missing-keys": "missing strategy, seed",
+        "metrics-cell": "line 2: bad or missing cell: invalid literal for int() with base 10: 'x'",
+    }[case]
+    return runs, f"{bad}: {message}"
+
+
+UNREADABLE = ("summary-json", "env-json", "not-an-object", "missing-keys", "metrics-cell")
+
+
+class TestUnreadableRuns:
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_compare_runs_names_the_file(self, tmp_path, case):
+        runs, message = unreadable_runs(tmp_path, case)
+        with pytest.raises(CompareError) as info:
+            compare_runs(runs, tmp_path / "cmp")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_cli_prints_one_error_line_and_returns_2(self, tmp_path, capsys, case):
+        runs, message = unreadable_runs(tmp_path, case)
+        argv = ["compare", "--logs", *map(str, runs), "--out", str(tmp_path / "cmp")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+        assert not (tmp_path / "cmp").exists()
+
+
 def write_curve_run(run_dir, strategy, accuracies):
     """A finished run whose eval_test rows hold ``accuracies`` (epoch -> value)."""
     run_dir.mkdir()
