@@ -110,6 +110,7 @@ def _param_shapes(model) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def _cmd_probe(args) -> int:
+    from .autodiff import ShapeError
     from .metrics import estimate_sharpness, model_divergence, probe_batches, probe_logits
     from .nn import CheckpointError, load_checkpoint, model_from_params
 
@@ -125,7 +126,12 @@ def _cmd_probe(args) -> int:
                 "divergence is undefined"
             )
     batches = probe_batches(dataset, args.batches, args.batch_size)
-    sharp = estimate_sharpness(model, batches, args.rho)
+    try:
+        sharp = estimate_sharpness(model, batches, args.rho)
+    except ShapeError as exc:  # the checkpoint's input size does not fit the data
+        raise CheckpointError(f"{args.checkpoint} does not fit {args.data}: {exc}") from exc
+    if sharp.value is None:  # NaN is not JSON
+        raise UsageError(f"sharpness at --rho {args.rho} is not finite")
     result = {
         "sharpness": sharp.value,
         "rho": sharp.rho,

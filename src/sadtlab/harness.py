@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import ShapeError
 from .config import (
     ConfigError, DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields,
     resolved_text,
@@ -86,7 +87,8 @@ class RunLog:
         return "\n".join([CSV_HEADER, *(row.csv_line() for row in self.rows)]) + "\n"
 
 
-def _load_dataset(data: DataConfig) -> tuple[Dataset, Dataset]:
+def _load_dataset(data: DataConfig) -> tuple[Dataset, Dataset, str]:
+    """The train and test sets, and the train files as an error names them."""
     if data.format == "idx":
         train = load_idx(data.train_images, data.train_labels, data.num_classes)
         test = load_idx(data.test_images, data.test_labels, data.num_classes)
@@ -99,13 +101,16 @@ def _load_dataset(data: DataConfig) -> tuple[Dataset, Dataset]:
         size = getattr(data, key)
         if size > dataset.n:
             raise ConfigError(f"[data] {key} = {size}, but {source} holds {dataset.n} samples")
-    return train.subset(data.train_size), test.subset(data.test_size)
+    return train.subset(data.train_size), test.subset(data.test_size), sources[0]
 
 
-def _build_model(cfg: ModelConfig, train: Dataset) -> Model:
+def _build_model(cfg: ModelConfig, train: Dataset, source: str) -> Model:
     shape = train.images.shape[1:]
     if cfg.arch == "simple_cnn":
-        return build_simple_cnn(shape, train.num_classes, cfg.init_seed)
+        try:
+            return build_simple_cnn(shape, train.num_classes, cfg.init_seed)
+        except ShapeError as exc:  # images too small for the pools
+            raise ConfigError(f"[model] arch = simple_cnn does not fit {source}: {exc}") from exc
     return build_tiny_mlp(int(np.prod(shape)), cfg.hidden_dims, train.num_classes, cfg.init_seed)
 
 
@@ -178,8 +183,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     """
     opts = cfg.train
     seed, batch_size, epochs = opts.seed, opts.batch_size, opts.epochs
-    train, test = _load_dataset(cfg.data)
-    model = _build_model(cfg.model, train)
+    train, test, train_source = _load_dataset(cfg.data)
+    model = _build_model(cfg.model, train, train_source)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / RESOLVED_FILE).write_text(resolved_text(cfg))

@@ -1,17 +1,19 @@
 """Quantitative probes: one-step sharpness, model divergence, accuracy/loss.
 
 Sharpness approximates the worst loss increase inside an L2 ball of radius
-rho by a single normalized ascent step, averaged over batches. Divergence is
-the mean KL between two models' output distributions over the data, computed
-from their per-batch logits: the sharpness probe returns the model's logits
-from its base pass, so a probe runs one forward at w per batch, not two.
+rho by one normalized ascent step, averaged over batches. Per batch it runs,
+with no loss callback, a taped cross-entropy pass at w, ``sam_point`` and an
+off-tape forward at the ascent point. A mean that is not finite is ``None``:
+an empty cell in a run's probe row, a one-line error from ``sadtlab probe``.
+Divergence is the mean KL between two models' output distributions, from
+their per-batch logits; the sharpness pass supplies the model's own, so a
+probe runs one forward at w per batch, not two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -24,11 +26,11 @@ from .strategies import one_hot, sam_point
 
 @dataclass
 class SharpnessEstimate:
-    value: float
+    value: float | None  # None when the mean is not finite
     rho: float
     batches: int
     zero_grad_batches: int = 0
-    # each batch's logits at w, from the taped base pass of the ascent
+    # each batch's logits at w, from the taped pass of the ascent
     logits: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
@@ -42,34 +44,6 @@ class DivergenceEstimate:
 class EvalResult:
     accuracy: float
     mean_loss: float
-
-
-def one_step_sharpness(loss_fn: Callable[[Model], Tensor], model: Model, rho: float) -> tuple[float, bool]:
-    """loss(w + rho * g/||g||) - loss(w) for one loss; ascends a copy, so w never moves.
-
-    Returns (estimate, zero_grad): a zero gradient skips the ascent and
-    contributes 0.
-    """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    with Tape():
-        loss = loss_fn(model)
-        base = loss.item()
-        grads = GradSet.from_backward(model.params, backward(loss))
-    shifted = sam_point(model, grads, rho)
-    if shifted is None:
-        return 0.0, True
-    return loss_fn(shifted).item() - base, False
-
-
-def _hard_label_loss(
-    model: Model, images: np.ndarray, labels: np.ndarray, seen: list | None = None
-) -> Tensor:
-    """Mean cross-entropy of ``model`` on one batch; appends the logits to ``seen``."""
-    logits = model.forward(Tensor(images))
-    if seen is not None:
-        seen.append(logits.data)
-    return softmax_cross_entropy(logits, Tensor(one_hot(labels, model.num_classes)))
 
 
 def probe_batches(
@@ -93,27 +67,36 @@ def probe_logits(
 def estimate_sharpness(
     model: Model, data_batches: list[tuple[np.ndarray, np.ndarray]], rho: float
 ) -> SharpnessEstimate:
-    """Average one-step sharpness of the mean cross-entropy over batches.
-
-    ``logits`` holds each batch's logits at w from the base pass: the same
-    bits as ``probe_logits(model, data_batches)``, without its forwards.
-    """
+    """Mean over batches of CE(w + rho * g/||g||) - CE(w) on a copy: w never
+    moves, and a zero gradient skips the ascent and counts 0. ``logits`` holds
+    each batch's logits at w, the bits ``probe_logits`` gives without its forwards."""
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     if not data_batches:
         raise ValueError("estimate_sharpness needs at least one batch")
-    values = []
+    values: list[float] = []
     zero_batches = 0
     logits: list[np.ndarray] = []
     for images, labels in data_batches:
-        seen: list[np.ndarray] = []
-        value, zero = one_step_sharpness(
-            lambda m: _hard_label_loss(m, images, labels, seen), model, rho
-        )
-        values.append(value)
-        zero_batches += int(zero)
-        logits.append(seen[0])  # the pass at w; a second one is at the ascent point
-    return SharpnessEstimate(
-        math.fsum(values) / len(values), rho, len(values), zero_batches, logits
-    )
+        targets = Tensor(one_hot(labels, model.num_classes))
+        with Tape():
+            base = model.forward(Tensor(images))
+            loss = softmax_cross_entropy(base, targets)
+        logits.append(base.data)
+        shifted = sam_point(model, GradSet.from_backward(model.params, backward(loss)), rho)
+        if shifted is None:  # zero gradient
+            zero_batches += 1
+            values.append(0.0)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean gives None
+            ascent = softmax_cross_entropy(shifted.forward(Tensor(images)), targets)
+        values.append(ascent.item() - loss.item())
+    try:  # inf - inf, or a sum beyond the float range, is not finite either
+        mean = math.fsum(values) / len(values)
+    except (OverflowError, ValueError):
+        mean = math.nan
+    value = mean if math.isfinite(mean) else None
+    return SharpnessEstimate(value, rho, len(values), zero_batches, logits)
 
 
 def model_divergence(

@@ -151,7 +151,8 @@ class Strategy:
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
         self._validate(model, teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
-        logits_w, task_loss, grads = _task_pass(model, batch)
+        task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
+        logits_w, task_loss, grads = _grad_pass(model, batch.images, task, "task")
         flags: tuple[str, ...] = ()
         if transform == "gc":
             grads = gradient_centralize(grads)
@@ -163,7 +164,7 @@ class Strategy:
                 flags = ("zero-gradient",)
             else:
                 _mark(trace, "perturbed", shifted.params)
-                _, _, grads = _task_pass(shifted, batch)
+                _, _, grads = _grad_pass(shifted, batch.images, task, "task")
         kl_loss = 0.0
         if teachers:
             rngs = _noise_rngs(noise_seed, len(teachers))
@@ -172,10 +173,11 @@ class Strategy:
             adam_step(teacher.params, grads, state.clone(), lr)
             _mark(trace, "w_up", teacher.params)
             parts = [grads]
+            kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
             for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
                 undo = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr, trace)
                 _mark(trace, f"aux_{i}", teacher.params)
-                kl, g_aux = _kl_pass(teacher, batch, logits_w)
+                _, kl, g_aux = _grad_pass(teacher, batch.images, kl_of, "KL")
                 undo()
                 _mark(trace, f"rollback_{i}", teacher.params)
                 kl_loss += kl
@@ -246,25 +248,15 @@ def mixed_cross_entropy(logits: Tensor, batch: MixedBatch, num_classes: int) -> 
     return add(scale(ce_a, batch.lam), scale(ce_b, 1.0 - batch.lam))
 
 
-def _task_pass(model: Model, batch: MixedBatch) -> tuple[np.ndarray, float, GradSet]:
-    """Forward + backward of the mixed-label task loss at the current weights."""
+def _grad_pass(
+    model: Model, images: np.ndarray, loss_of: Callable[[Tensor], Tensor], what: str
+) -> tuple[np.ndarray, float, GradSet]:
+    """Logits, loss and gradient of ``loss_of(logits)`` at the current weights;
+    a non-finite loss raises ``NonFiniteLossError`` naming ``what``."""
     with Tape():
-        logits = model.forward(Tensor(batch.images))
-        loss = mixed_cross_entropy(logits, batch, model.num_classes)
-    task_loss = loss.item()
-    if not np.isfinite(task_loss):
-        raise NonFiniteLossError(f"task loss is {task_loss!r}")
-    grads = GradSet.from_backward(model.params, backward(loss))
-    return logits.data.copy(), task_loss, grads
-
-
-def _kl_pass(model: Model, batch: MixedBatch, teacher_logits: np.ndarray) -> tuple[float, GradSet]:
-    """KL(teacher || current model) with the teacher side held constant."""
-    with Tape():
-        aux_logits = model.forward(Tensor(batch.images))
-        kl = kl_divergence(Tensor(teacher_logits), aux_logits, detach_p=True)
-    kl_loss = kl.item()
-    if not np.isfinite(kl_loss):
-        raise NonFiniteLossError(f"KL loss is {kl_loss!r}")
-    grads = GradSet.from_backward(model.params, backward(kl))
-    return kl_loss, grads
+        logits = model.forward(Tensor(images))
+        loss = loss_of(logits)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NonFiniteLossError(f"{what} loss is {value!r}")
+    return logits.data, value, GradSet.from_backward(model.params, backward(loss))

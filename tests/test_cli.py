@@ -14,12 +14,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sadtlab import cli
+from sadtlab import cli, synth
 from sadtlab.config import ConfigError, parse_config
 from sadtlab.harness import environment, run_experiment
 from sadtlab.nn import build_simple_cnn, load_checkpoint, save_checkpoint
@@ -198,6 +199,64 @@ def test_probe_against_itself_reports_zero_divergence(session, monkeypatch, caps
     assert cli.main(argv) == 0
     result = json.loads(capsys.readouterr().out)
     assert (result["divergence"], result["divergence_samples"]) == (0.0, 16)
+
+
+def test_non_finite_sharpness_leaves_an_empty_probe_cell(session, tmp_path, monkeypatch):
+    # rho = 1e300 overflows the ascent point; the run completes without a warning
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    config = tmp_path / "overflow.ini"
+    probe = "probe_every = 1\nprobe_batches = 1\nprobe_rho = 1e300\n"
+    config.write_text(_config("baseline").replace("probe_every = 0\n", probe))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    (row,) = [line for line in (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+              if ",probe," in line]
+    sharpness, divergence = row.split(",")[8:10]
+    assert sharpness == "" and float(divergence) > 0.0
+
+
+def test_probe_with_non_finite_sharpness_prints_one_error_line(session, monkeypatch, capsys):
+    root, _, _ = session
+    monkeypatch.chdir(root)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(PROBE_ARGS + ["--batches", "1", "--rho", "1e300"]) == 2
+    message = "sharpness at --rho 1e+300 is not finite"
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+
+
+@pytest.mark.parametrize("trained, size, fault", [
+    ((1, 28, 28), 8, "dense1 expects 576 features, got 64"),
+    ((1, 8, 8), 4, "max_pool2x2 needs extents >= 2"),
+])
+def test_probe_on_data_of_another_size_prints_one_error_line(tmp_path, capsys, trained, size,
+                                                             fault):
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(build_simple_cnn(trained, 3, seed=0).params, checkpoint)
+    data = tmp_path / "data"
+    synth.generate_dataset_files(data, 4, 4, 3, size, size, seed=0)
+    assert cli.main(["probe", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"sadtlab: error: {checkpoint} does not fit {data}: ")
+    assert fault in err
+
+
+def test_simple_cnn_on_small_images_prints_one_error_line(tmp_path, capsys):
+    paths = synth.generate_dataset_files(tmp_path / "data", 8, 4, 3, 4, 4, seed=0)
+    config = tmp_path / "small.ini"
+    config.write_text(
+        "[data]\n" + "".join(f"{key} = {path}\n" for key, path in paths.items())
+        + "train_size = 8\ntest_size = 4\nnum_classes = 3\n[model]\narch = simple_cnn\n"
+    )
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+    message = (f"[model] arch = simple_cnn does not fit {paths['train_images']}: "
+               "input 1x4x4 too small for three 2x2 pools (need H,W >= 8)")
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+    assert not out.exists()
 
 
 def test_abort_checkpoint_holds_the_initial_weights(session, tmp_path, monkeypatch):

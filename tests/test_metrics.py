@@ -7,6 +7,7 @@ both models give, and each probe batch costs two forwards per probe plus one
 per run for the initial model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,15 +17,13 @@ from sadtlab.autodiff import Tensor, log_softmax_rows
 from sadtlab.config import parse_config
 from sadtlab.data import Dataset, load_idx
 from sadtlab.metrics import (
-    _hard_label_loss,
     estimate_sharpness,
     evaluate,
     model_divergence,
-    one_step_sharpness,
     probe_batches,
     probe_logits,
 )
-from sadtlab.nn import Model, build_simple_cnn
+from sadtlab.nn import Model, build_simple_cnn, build_tiny_mlp
 
 CLASSES = 3
 
@@ -44,21 +43,43 @@ def _bits(model) -> dict[str, bytes]:
     return {e.name: e.tensor.data.tobytes() for e in model.params}
 
 
-def test_one_step_sharpness_restores_params_bitwise(model, dataset):
-    before = _bits(model)
-    images, labels = dataset.images[:4], dataset.labels[:4]
-    value, zero_grad = one_step_sharpness(
-        lambda m: _hard_label_loss(m, images, labels), model, rho=0.05
-    )
-    assert not zero_grad and value != 0.0  # the ascent step really moved the weights
-    assert _bits(model) == before
-
-
 def test_estimate_sharpness_restores_params_bitwise(model, dataset):
     before = _bits(model)
     estimate = estimate_sharpness(model, probe_batches(dataset, 3, 4), rho=0.05)
     assert estimate.batches == 3 and estimate.zero_grad_batches == 0
+    assert estimate.value != 0.0  # the ascent step really moved the weights
     assert _bits(model) == before
+
+
+def test_zero_gradient_batch_skips_the_ascent_and_counts_zero():
+    # zero weights and zero images give uniform logits, whose cross-entropy
+    # gradient cancels over the labels [0, 1] for the bias and is 0 for the weight
+    mlp = build_tiny_mlp(2, [], 2, seed=0)
+    mlp.params.get("dense1.weight").data[:] = 0.0
+    estimate = estimate_sharpness(mlp, [(np.zeros((2, 2)), np.array([0, 1]))], rho=0.05)
+    assert (estimate.value, estimate.batches, estimate.zero_grad_batches) == (0.0, 1, 1)
+    assert len(estimate.logits) == 1
+
+
+def test_non_finite_sharpness_is_none_and_warns_nothing(model, dataset):
+    # rho = 1e300 overflows the ascent point, so the loss there is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate = estimate_sharpness(model, probe_batches(dataset, 2, 4), rho=1e300)
+    assert estimate.value is None and estimate.batches == 2 and len(estimate.logits) == 2
+
+
+def test_finite_batches_whose_sum_overflows_give_none():
+    # each batch's sharpness is 6e307, finite, but three of them sum past the float range
+    mlp = build_tiny_mlp(1, [], 2, seed=0)
+    batches = [(np.ones((2, 1)), np.array([0, 1]))] * 3
+    assert estimate_sharpness(mlp, batches, rho=6e307).value is None
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.05, float("nan")])
+def test_non_positive_rho_is_rejected(model, dataset, rho):
+    with pytest.raises(ValueError, match="rho must be positive"):
+        estimate_sharpness(model, probe_batches(dataset, 1, 4), rho)
 
 
 def test_sharpness_logits_are_those_of_an_off_tape_forward(model, dataset):

@@ -9,7 +9,8 @@ from sadtlab.strategies import (
     NonFiniteLossError,
     StepTrace,
     Strategy,
-    _task_pass,
+    _grad_pass,
+    mixed_cross_entropy,
 )
 
 
@@ -22,6 +23,12 @@ def small_batch(seed=0, n=6, classes=3, shape=(1, 8, 8)):
     images = gen.uniform(0.0, 1.0, (n, *shape))
     labels = gen.integers(0, classes, n)
     return MixedBatch.plain(images, labels)
+
+
+def task_grads(model, batch):
+    """The task gradient at the model's weights, as the step's first pass takes it."""
+    task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
+    return _grad_pass(model, batch.images, task, "task")[2]
 
 
 def mlp_and_batch(seed=0):
@@ -99,7 +106,7 @@ class TestGcAgc:
         model_a = small_cnn(seed=4)
         model_b = small_cnn(seed=4)
         Strategy("gc").step(model_a, batch, AdamState(model_a.params), lr=0.001)
-        _, _, grads = _task_pass(model_b, batch)
+        grads = task_grads(model_b, batch)
         adam_step(model_b.params, gradient_centralize(grads), AdamState(model_b.params), 0.001)
         assert snapshots_equal(model_a.params.snapshot(), model_b.params.snapshot())
 
@@ -116,7 +123,7 @@ class TestGcAgc:
         model = small_cnn(seed=4)
         trace = StepTrace()
         # the gc strategy centralizes before the update; replicate and check the invariant
-        _, _, grads = _task_pass(model, batch)
+        grads = task_grads(model, batch)
         out = gradient_centralize(grads)
         for name, arr, kind in out:
             if kind == "conv":
@@ -323,7 +330,7 @@ class TestSadtV3:
         # sam ascends to (lr = 0 keeps w_up == w)
         model_a, batch = mlp_and_batch(seed=12)
         model_b = build_tiny_mlp(4, [8], 3, seed=12)
-        _, _, grads = _task_pass(model_b, batch)
+        grads = task_grads(model_b, batch)
         rho = 0.05
         ascent = rho / grads.global_norm()
 
@@ -363,7 +370,7 @@ class TestSadtV3:
         # the teacher sits at w_up + ascent_lr * (g + noise), one N(0, sigma_g^2)
         # draw per entry in parameter order from the teacher's rng
         model, batch = mlp_and_batch(seed=15)
-        _, _, grads = _task_pass(model, batch)
+        grads = task_grads(model, batch)
         trace = StepTrace()
         Strategy("sadt_v3", sigma_g=0.01, ascent_lr=0.001).step(
             model, batch, AdamState(model.params), lr=0.001,
