@@ -111,11 +111,14 @@ def _param_shapes(model) -> list[tuple[str, tuple[int, ...]]]:
 
 def _cmd_probe(args) -> int:
     from .autodiff import ShapeError
+    from .data import DataFormatError
     from .metrics import estimate_sharpness, model_divergence, probe_batches, probe_logits
     from .nn import CheckpointError, load_checkpoint, model_from_params
 
     _check_probe_args(args)
     dataset = _resolve_probe_data(args.data)
+    if dataset.n == 0:
+        raise DataFormatError(f"--data {args.data} holds no samples")
     shape = dataset.images.shape[1:]
     model = model_from_params(load_checkpoint(args.checkpoint), input_shape=shape)
     if args.against:
@@ -146,9 +149,20 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+def _check_make_data_args(args) -> None:
+    for flag, value in (("--train-n", args.train_n), ("--test-n", args.test_n), ("--seed", args.seed)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
+    if not 1 <= args.classes <= 256:  # IDX labels are one byte
+        raise UsageError(f"--classes must be in 1..256, got {args.classes}")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
+
+
 def _cmd_make_data(args) -> int:
     from .synth import generate_dataset_files
 
+    _check_make_data_args(args)
     paths = generate_dataset_files(
         args.out, args.train_n, args.test_n, args.classes, seed=args.seed, noise=args.noise
     )

@@ -117,6 +117,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("epochs", "probe_every"):
         if getattr(train, name) < 0:
             raise ConfigError(f"{name} must be >= 0")
+    # numpy rejects a negative seed only when the run draws from it
+    for key, value in (("[train] seed", train.seed), ("[model] init_seed", model.init_seed)):
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
     for name, value in (
         ("batch_size", train.batch_size), ("train_size", data.train_size),
         ("test_size", data.test_size), ("num_classes", data.num_classes),

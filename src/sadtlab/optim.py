@@ -1,10 +1,10 @@
 """Adam with cosine decay, gradient transforms, and parameter noise.
 
 Gradient sets mirror a ParamSet entry-for-entry; every operation re-checks
-alignment. Parameter noise keeps the drawn noise, the pre-noise values, and
-the post-noise values, so removal restores the parameters bitwise and detects
-application against the wrong tensors. Strategies add it only to a copy of
-the live weights, so the removal never has to undo a move of the live ones.
+alignment. A parameter shift (noise, or a noisy ascent step) keeps the shift
+and the values before it; removal checks bitwise that the parameters hold their
+sum, which detects the wrong tensors, and restores the values before it.
+Strategies shift only a copy of the live weights, never the live ones.
 """
 
 from __future__ import annotations
@@ -214,16 +214,10 @@ def adaptive_gradient_clip(params: ParamSet, grads: GradSet, lam: float = 0.01) 
 
 @dataclass
 class NoiseRecord:
-    """Exact noise added to named parameters, retained for exact removal.
+    """A shift added in place to named parameters, kept for exact removal:
+    each entry holds the shift and the values before it. Single-use."""
 
-    Keeps the drawn noise, the pre-noise values, and the post-noise values.
-    Removal verifies the parameters still hold the post-noise values,
-    restores the originals bitwise, and consumes the record.
-    """
-
-    sigma: float
-    layer_filter: str
-    entries: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
+    entries: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     consumed: bool = False
 
     def names(self) -> list[str]:
@@ -233,17 +227,30 @@ class NoiseRecord:
         return self.entries[name][0]
 
 
-def _noise_targets(params: ParamSet, layer_filter: str) -> list[tuple[str, np.ndarray]]:
+def _noise_targets(params: ParamSet, layer_filter: str) -> dict[str, np.ndarray]:
     if not isinstance(params, ParamSet):
         raise NoiseError(f"noise applies to parameters, not to {type(params).__name__}")
     if layer_filter not in PARAM_FILTERS:
         raise NoiseError(f"filter {layer_filter!r} does not apply to parameters")
     if layer_filter == "all":
-        return [(e.name, e.tensor.data) for e in params.entries]
+        return {e.name: e.tensor.data for e in params.entries}
     layers = params.layers("conv" if layer_filter == "last-conv" else "dense")
     if not layers:
         raise NoiseError(f"filter {layer_filter!r} selects nothing in this model")
-    return [(e.name, e.tensor.data) for e in params.entries if e.layer == layers[-1]]
+    return {e.name: e.tensor.data for e in params.entries if e.layer == layers[-1]}
+
+
+def shift_params(params: ParamSet, shifts: dict[str, np.ndarray]) -> NoiseRecord:
+    """Add each named shift to its parameter in place, after checking every name and shape."""
+    arrays = _noise_targets(params, "all")
+    record = NoiseRecord()
+    for name, shift in shifts.items():
+        if name not in arrays or shift.shape != arrays[name].shape:
+            raise NoiseError(f"no parameter {name!r} of shape {shift.shape}")
+        record.entries[name] = (shift, arrays[name].copy())
+    for name, (shift, _) in record.entries.items():
+        arrays[name] += shift
+    return record
 
 
 def add_noise(
@@ -254,7 +261,7 @@ def add_noise(
 ) -> NoiseRecord:
     """Add elementwise N(0, sigma^2) noise to the selected parameters in place.
 
-    Selection: "all", "last-conv" or "last-dense". Entries are perturbed in
+    Selection: "all", "last-conv" or "last-dense". Entries are drawn in
     their stored order so the draw sequence is reproducible from the given rng.
     """
     if sigma < 0:
@@ -262,34 +269,21 @@ def add_noise(
     selected = _noise_targets(params, layer_filter)
     if not selected:
         raise NoiseError(f"filter {layer_filter!r} selected no tensors")
-    record = NoiseRecord(sigma=sigma, layer_filter=layer_filter)
-    for name, arr in selected:
-        noise = rng.normal(0.0, sigma, size=arr.shape)
-        before = arr.copy()
-        arr += noise
-        record.entries[name] = (noise, before, arr.copy())
-    return record
+    return shift_params(params, {n: rng.normal(0.0, sigma, size=a.shape) for n, a in selected.items()})
 
 
 def subtract_noise(params: ParamSet, record: NoiseRecord) -> None:
-    """Remove recorded noise, restoring the pre-noise values bitwise.
+    """Remove a recorded shift, restoring the values before it bitwise.
 
-    The record is single-use and must match the parameters' current noised
-    state; otherwise the call fails without modifying anything.
+    Fails, modifying nothing, unless the record is unused and each parameter
+    it names holds exactly ``before + shift``, the IEEE sum the add made.
     """
     if record.consumed:
         raise NoiseError("noise record already applied (single-use)")
-    live = dict(_noise_targets(params, record.layer_filter))
-    if set(record.entries) != set(live):
-        raise NoiseError(
-            f"record names {sorted(record.entries)} do not match target {sorted(live)}"
-        )
-    for name, (_, _, after) in record.entries.items():
-        arr = live[name]
-        if arr.shape != after.shape:
-            raise NoiseError(f"shape mismatch for {name}: {arr.shape} vs {after.shape}")
-        if not np.array_equal(arr, after):
+    arrays = _noise_targets(params, "all")
+    for name, (shift, before) in record.entries.items():
+        if name not in arrays or not np.array_equal(arrays[name], before + shift):
             raise NoiseError(f"target {name} is not in the state this record was taken from")
-    for name, (_, before, _) in record.entries.items():
-        live[name][...] = before
+    for name, (_, before) in record.entries.items():
+        arrays[name][...] = before
     record.consumed = True

@@ -14,18 +14,17 @@ filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 2. the gradient transform, or the sam ascent (the gradient at a copy of w
    moved rho along the normalized gradient);
 3. with teachers: a transient update of a copy of w, on an optimizer clone,
-   gives the self-teacher weights w_up; each teacher perturbs that copy,
+   gives the self-teacher weights w_up; each teacher shifts that copy,
    differentiates the KL between the pre-update logits (held constant) and
-   its own logits, and is undone exactly; the task and KL gradients are summed;
+   its own logits, and removes its shift; the task and KL gradients are summed;
 4. one update of the live weights with the persistent optimizer state, from
    w_up (copied in) or, with rollback_to_w, from w. Nothing moves them before
    it, so a step that raises leaves them as they were.
 
-Parameter-noise teachers ("all", "last-conv", "last-dense") add
-N(0, sigma_w^2) to the selected layers and subtract it bitwise afterwards.
-The gradient-noise teacher ("gradient-all") ascends ascent_lr along the task
-gradient plus N(0, sigma_g^2), drawn entry by entry in parameter order, and
-restores a snapshot.
+Every teacher is one recorded shift of w_up, removed with a bitwise check.
+Parameter-noise teachers ("all", "last-conv", "last-dense") add N(0, sigma_w^2)
+to the selected layers. The gradient-noise teacher ("gradient-all") adds
+ascent_lr times the task gradient plus N(0, sigma_g^2), drawn entry by entry.
 """
 
 from __future__ import annotations
@@ -43,11 +42,13 @@ from .optim import (
     PARAM_FILTERS,
     AdamState,
     GradSet,
+    NoiseRecord,
     adam_step,
     adaptive_gradient_clip,
     add_noise,
     aggregate_gradients,
     gradient_centralize,
+    shift_params,
     subtract_noise,
 )
 
@@ -93,12 +94,12 @@ class StepReport:
 
 class StepTrace:
     """Optional instrumentation: named snapshots of the shifted copies taken
-    mid-step ("perturbed", "w_up", "aux_<i>", "rollback_<i>"), the parameter
-    noise records drawn, and the gradient fed to the final update."""
+    mid-step ("perturbed", "w_up", "aux_<i>", "rollback_<i>"), one shift record
+    per teacher in teacher order, and the gradient fed to the final update."""
 
     def __init__(self):
         self.marks: dict[str, dict[str, np.ndarray]] = {}
-        self.records: list = []
+        self.records: list[NoiseRecord] = []
         self.final_grads: GradSet | None = None
 
     def mark(self, name: str, params) -> None:
@@ -144,7 +145,7 @@ class Strategy:
         batch: MixedBatch,
         state: AdamState,
         lr: float,
-        noise_seed: np.random.SeedSequence | int | None = None,
+        noise_seed: np.random.SeedSequence | None = None,
         trace: StepTrace | None = None,
     ) -> StepReport:
         transform, sam, teachers = PRESETS[self.id]
@@ -167,7 +168,7 @@ class Strategy:
                 _, _, grads = _grad_pass(shifted, batch.images, task, "task")
         kl_loss = 0.0
         if teachers:
-            rngs = _noise_rngs(noise_seed, len(teachers))
+            rngs = [np.random.default_rng(child) for child in noise_seed.spawn(len(teachers))]
             # transient update of a copy on a state clone: w and the moments stay put
             teacher = model.clone()
             adam_step(teacher.params, grads, state.clone(), lr)
@@ -175,10 +176,12 @@ class Strategy:
             parts = [grads]
             kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
             for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
-                undo = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr, trace)
+                record = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr)
+                if trace is not None:
+                    trace.records.append(record)
                 _mark(trace, f"aux_{i}", teacher.params)
                 _, kl, g_aux = _grad_pass(teacher, batch.images, kl_of, "KL")
-                undo()
+                subtract_noise(teacher.params, record)
                 _mark(trace, f"rollback_{i}", teacher.params)
                 kl_loss += kl
                 parts.append(g_aux)
@@ -206,19 +209,14 @@ class Strategy:
 
     def _perturb(
         self, params: ParamSet, grads: GradSet, layer_filter: str, rng: np.random.Generator,
-        ascent_lr: float, trace: StepTrace | None,
-    ) -> Callable[[], None]:
-        """Move the teacher copy to one auxiliary teacher; return a callable
-        that moves it back to w_up bitwise."""
+        ascent_lr: float,
+    ) -> NoiseRecord:
+        """Shift the teacher copy from w_up to one auxiliary teacher."""
         if layer_filter in PARAM_FILTERS:
-            record = add_noise(params, self.sigma_w, layer_filter, rng)
-            if trace is not None:
-                trace.records.append(record)
-            return lambda: subtract_noise(params, record)
-        g_noisy = GradSet([(n, g + rng.normal(0.0, self.sigma_g, size=g.shape), k) for n, g, k in grads])
-        up_snap = params.snapshot()
-        params.add_scaled(g_noisy, ascent_lr)
-        return lambda: params.restore(up_snap)
+            return add_noise(params, self.sigma_w, layer_filter, rng)
+        return shift_params(  # a noisy ascent step
+            params, {n: ascent_lr * (g + rng.normal(0.0, self.sigma_g, size=g.shape)) for n, g, _ in grads}
+        )
 
 
 def sam_point(model: Model, grads: GradSet, rho: float) -> Model | None:
@@ -229,12 +227,6 @@ def sam_point(model: Model, grads: GradSet, rho: float) -> Model | None:
     shifted = model.clone()
     shifted.params.add_scaled(grads, rho / norm)
     return shifted
-
-
-def _noise_rngs(noise_seed, count: int) -> list[np.random.Generator]:
-    if isinstance(noise_seed, int):
-        noise_seed = np.random.SeedSequence(noise_seed)
-    return [np.random.default_rng(child) for child in noise_seed.spawn(count)]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

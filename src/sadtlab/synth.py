@@ -26,7 +26,10 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = np.asarray(labels)
+    if labels.size and not (labels.min() >= 0 and labels.max() <= 255):  # one byte each
+        raise ValueError(f"labels must lie in 0..255, got {labels.min()}..{labels.max()}")
+    labels = labels.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
         fh.write(labels.tobytes())
@@ -58,6 +61,8 @@ def make_synthetic_digits(
     noise: float = 0.35,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (uint8 images, labels) drawn round-robin over classes."""
+    if not 1 <= num_classes <= 256:  # the labels are returned as bytes
+        raise ValueError(f"num_classes must be in 1..256, got {num_classes}")
     rng = np.random.default_rng(seed)
     templates = _class_templates(num_classes, height, width, rng)
     labels = np.arange(n) % num_classes

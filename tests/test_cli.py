@@ -22,6 +22,7 @@ import pytest
 
 from sadtlab import cli, synth
 from sadtlab.config import ConfigError, parse_config
+from sadtlab.data import load_idx
 from sadtlab.harness import environment, run_experiment
 from sadtlab.nn import build_simple_cnn, load_checkpoint, save_checkpoint
 
@@ -284,3 +285,44 @@ def test_importing_the_cli_loads_no_numerics():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--classes", "0"], "--classes must be in 1..256, got 0"),
+    (["--classes", "300"], "--classes must be in 1..256, got 300"),
+    (["--train-n", "-1", "--test-n", "4"], "--train-n must be >= 0, got -1"),
+    (["--test-n", "-1"], "--test-n must be >= 0, got -1"),
+    (["--noise", "nan"], "--noise must be finite and >= 0, got nan"),
+    (["--noise", "inf"], "--noise must be finite and >= 0, got inf"),
+    (["--noise", "-0.1"], "--noise must be finite and >= 0, got -0.1"),
+    (["--seed", "-5"], "--seed must be >= 0, got -5"),
+], ids=["classes-0", "classes-300", "train-n-negative", "test-n-negative", "noise-nan",
+        "noise-inf", "noise-negative", "seed-negative"])
+def test_make_data_option_out_of_range_prints_one_error_line(tmp_path, capsys, extra, message):
+    out = tmp_path / "bad"
+    assert cli.main(["make-data", "--out", str(out), "--train-n", "4", "--test-n", "4", *extra]) == 2
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+    assert not out.exists()
+
+
+def test_make_data_accepts_the_edges_of_each_range(tmp_path):
+    # 256 classes is the most one label byte holds; load_idx infers them all back
+    out = tmp_path / "edge"
+    argv = ["make-data", "--out", str(out), "--train-n", "256", "--test-n", "0",
+            "--classes", "256", "--noise", "0", "--seed", "0"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    train = load_idx(out / "train-images-idx3-ubyte", out / "train-labels-idx1-ubyte")
+    assert train.num_classes == 256
+    assert sorted(train.labels.tolist()) == list(range(256))
+    test = load_idx(out / "t10k-images-idx3-ubyte", out / "t10k-labels-idx1-ubyte")
+    assert test.n == 0
+
+
+def test_probe_on_an_empty_set_prints_one_error_line(tmp_path, capsys):
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(build_simple_cnn((1, 8, 8), 3, seed=0).params, checkpoint)
+    data = tmp_path / "data"
+    synth.generate_dataset_files(data, 4, 0, 3, 8, 8, seed=0)  # an empty t10k pair
+    assert cli.main(["probe", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
+    assert capsys.readouterr() == ("", f"sadtlab: error: --data {data} holds no samples\n")

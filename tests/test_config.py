@@ -347,3 +347,36 @@ class TestDataAndModelValues:
     def test_no_hidden_layer_is_accepted(self, tmp_path):
         text = IDX + "[model]\narch = tiny_mlp\nhidden_dims =\n"
         assert parse(tmp_path, text).model.hidden_dims == []
+
+
+BAD_SEEDS = [
+    ("[train]\nseed = -1\n", [], "[train] seed must be >= 0, got -1"),
+    ("[model]\ninit_seed = -1\n", [], "[model] init_seed must be >= 0, got -1"),
+    ("", ["--seed", "-1"], "[train] seed must be >= 0, got -1"),
+]
+BAD_SEED_IDS = ["train-seed", "init-seed", "seed-option"]
+
+
+class TestSeedValues:
+    """numpy rejects a negative seed only once the run draws from it; the
+    config rejects it before anything is written, naming the key."""
+
+    @pytest.mark.parametrize("lines, argv, message", BAD_SEEDS, ids=BAD_SEED_IDS)
+    def test_parse_config_rejects(self, tmp_path, lines, argv, message):
+        overrides = {"seed": int(argv[1])} if argv else {}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse(tmp_path, IDX + lines, **overrides)
+
+    @pytest.mark.parametrize("lines, argv, message", BAD_SEEDS, ids=BAD_SEED_IDS)
+    def test_cli_prints_one_error_line_and_returns_2(self, tmp_path, capsys, lines, argv, message):
+        path = tmp_path / "run.ini"
+        path.write_text(IDX + lines)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"sadtlab: error: {message}\n")
+        assert not out.exists()
+
+    def test_zero_seeds_are_accepted(self, tmp_path):
+        cfg = parse(tmp_path, IDX + "[model]\ninit_seed = 0\n[train]\nseed = 0\n")
+        assert (cfg.train.seed, cfg.model.init_seed) == (0, 0)

@@ -226,3 +226,17 @@ class TestLabelRange:
         assert captured.err == (
             f"sadtlab: error: {paths['train_labels']}: label 200 outside [0, 3)\n"
         )
+
+
+@pytest.mark.parametrize("labels", [[0, 256], [-1, 3], [1000]], ids=["256", "negative", "1000"])
+def test_label_writer_rejects_labels_a_byte_cannot_hold(tmp_path, labels):
+    path = tmp_path / "labels-idx1-ubyte"
+    with pytest.raises(ValueError, match="labels must lie in 0..255"):
+        synth.write_idx_labels(path, np.array(labels))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("classes", [0, 257])
+def test_synthetic_digits_reject_class_counts_a_byte_cannot_hold(classes):
+    with pytest.raises(ValueError, match=f"num_classes must be in 1..256, got {classes}"):
+        synth.make_synthetic_digits(4, classes, 8, 8)

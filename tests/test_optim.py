@@ -19,6 +19,7 @@ from sadtlab.optim import (
     aggregate_gradients,
     cosine_lr,
     gradient_centralize,
+    shift_params,
     subtract_noise,
 )
 
@@ -239,6 +240,73 @@ class TestNoise:
         model = build_tiny_mlp(3, [4], 2, seed=0)
         with pytest.raises(ValueError):
             add_noise(model.params, -1.0, "all", np.random.default_rng(0))
+
+
+class TestShiftParams:
+    """The record every teacher uses, here with a gradient-style shift: every
+    entry moves by 0.001 * (g + noise)."""
+
+    @staticmethod
+    def ascent_shifts(params, seed):
+        gen = np.random.default_rng(seed)
+        grads = random_gradset(params, seed)
+        return {n: 0.001 * (g + gen.normal(0.0, 0.01, size=g.shape)) for n, g, _ in grads}
+
+    def test_shift_then_subtract_restores_bitwise(self):
+        model = build_simple_cnn((1, 8, 8), 3, seed=2)
+        before = model.params.snapshot()
+        shifts = self.ascent_shifts(model.params, 3)
+        record = shift_params(model.params, shifts)
+        assert record.names() == model.params.names()
+        for e in model.params:
+            assert np.array_equal(e.tensor.data, before[e.name] + shifts[e.name])
+        subtract_noise(model.params, record)
+        for e in model.params:
+            assert np.array_equal(e.tensor.data, before[e.name])
+
+    def test_params_changed_between_shift_and_removal_rejected(self):
+        model = build_simple_cnn((1, 8, 8), 3, seed=2)
+        record = shift_params(model.params, self.ascent_shifts(model.params, 3))
+        adam_step(model.params, random_gradset(model.params, 4), AdamState(model.params), 1e-3)
+        moved = model.params.snapshot()
+        with pytest.raises(NoiseError, match="not in the state"):
+            subtract_noise(model.params, record)
+        for e in model.params:  # the failed removal changed nothing
+            assert np.array_equal(e.tensor.data, moved[e.name])
+        assert not record.consumed
+
+    def test_one_changed_element_rejected(self):
+        model = build_tiny_mlp(3, [4], 2, seed=0)
+        record = shift_params(model.params, self.ascent_shifts(model.params, 1))
+        model.params.get("dense2.bias").data[0] += 1e-12
+        with pytest.raises(NoiseError):
+            subtract_noise(model.params, record)
+
+    def test_unknown_name_rejected_before_anything_moves(self):
+        model = build_tiny_mlp(3, [4], 2, seed=0)
+        before = model.params.snapshot()
+        shifts = self.ascent_shifts(model.params, 1)
+        shifts["dense9.weight"] = np.ones((4, 2))
+        with pytest.raises(NoiseError, match="dense9.weight"):
+            shift_params(model.params, shifts)
+        for e in model.params:
+            assert np.array_equal(e.tensor.data, before[e.name])
+
+    def test_shape_mismatch_rejected_before_anything_moves(self):
+        model = build_tiny_mlp(3, [4], 2, seed=0)
+        before = model.params.snapshot()
+        shifts = self.ascent_shifts(model.params, 1)
+        shifts["dense2.bias"] = np.ones(3)  # the bias has 2 entries
+        with pytest.raises(NoiseError, match="dense2.bias"):
+            shift_params(model.params, shifts)
+        for e in model.params:
+            assert np.array_equal(e.tensor.data, before[e.name])
+
+    def test_gradset_target_rejected(self):
+        model = build_tiny_mlp(3, [4], 2, seed=0)
+        grads = GradSet.zeros_like(model.params)
+        with pytest.raises(NoiseError):
+            shift_params(grads, self.ascent_shifts(model.params, 1))
 
 
 class TestAggregateGradients:

@@ -378,12 +378,15 @@ class TestSadtV3:
         )
         (child,) = np.random.SeedSequence(0).spawn(1)
         rng = np.random.default_rng(child)
+        (record,) = trace.records  # one shift record for the one teacher
+        assert record.names() == model.params.names()
+        assert record.consumed
         for name, g, _ in grads:
             noise = rng.normal(0.0, 0.01, size=g.shape)
             assert np.all(noise != 0.0)
+            assert np.array_equal(record.noise(name), 0.001 * (g + noise)), name
             expected = trace.marks["w_up"][name] + 0.001 * (g + noise)
             assert np.array_equal(trace.marks["aux_0"][name], expected), name
-        assert trace.records == []  # noise records cover parameter noise only
 
     def test_default_ascent_lr_follows_schedule(self):
         model, batch = mlp_and_batch(seed=16)
