@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -42,6 +43,64 @@ class TestCompareRuns:
         assert report.table_text.splitlines()[2].split() == ["sadt_v1", "-", "-", "-"]
 
 
+def write_pinned_run(run_dir, strategy, seed, accuracy):
+    """A run with eval_train and eval_test curves whose values are a function
+    of its strategy, seed and epoch; an aborted run (``accuracy`` None) stops
+    after epoch 1."""
+    run_dir.mkdir()
+    summary = {
+        "strategy": strategy, "arch": "simple_cnn", "seed": seed,
+        "dataset_fingerprint": "f" * 64, "final_test_accuracy": accuracy,
+        "aborted": None if accuracy is not None else "task loss is nan",
+    }
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+    offset = len(strategy) + 3 * seed
+    rows = []
+    for epoch in range(4 if accuracy is not None else 2):
+        for phase, scale in (("eval_train", 7), ("eval_test", 9)):
+            acc = (offset + 5 * epoch) / (scale * 4)
+            rows.append(RunRow(8 * epoch, epoch, phase, task_loss=scale / (offset + epoch + 1),
+                               accuracy=acc).csv_line())
+    if accuracy is not None:
+        rows.append(RunRow(24, 3, "final_test", task_loss=0.5, accuracy=accuracy).csv_line())
+    (run_dir / "metrics.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+
+
+# sha256 of every file `compare` writes, and of its stdout, for PINNED_RUNS
+PINNED_RUNS = {
+    "sam-s1": ("sam", 1, 4 / 7),
+    "base-s0": ("baseline", 0, 0.5),
+    "v1-s1": ("sadt_v1", 1, None),
+    "sam-s0": ("sam", 0, 0.625),
+    "base-s1": ("baseline", 1, 4 / 7),  # ties sam-s1: the earlier strategy wins
+    "v1-s0": ("sadt_v1", 0, 2 / 3),
+}
+PINNED_DIGESTS = {
+    "chart_train_accuracy.svg": "9653a26da0337cf5ba82e96b53c8e61725dcf79c733b292c0a997020fa2b8e35",
+    "chart_train_loss.svg": "fe1f01960b8e272e8a8107d2c8a6cb8c8b5b04292d1386cd6c6ac89c9bb4056d",
+    "chart_val_accuracy.svg": "3b923876ef6560205ba150366b53d2e0ca9c3388a1ab4badefb43c96cdb0d5c7",
+    "chart_val_loss.svg": "31e9677669601914d829cfbc2c4175870e39764333f34bbdb91d4a301bc3707e",
+    "comparison.csv": "226ab1f8dbf2f8eb272c56fafa0aeda36054ffaa236ee127f87f71af40f56374",
+    "curves_train_accuracy.csv": "808ffe5d22657547a07dbc55b5aed283f19b3e197604ddcdd0d705d80281ffb2",
+    "curves_train_loss.csv": "a818a66ec33bc07b22edcd81b867ae8a054194337c647ab6f966e350de5539dc",
+    "curves_val_accuracy.csv": "1eef19704b1717e5a15bcbfbbdb59506dc4ba2540eb96e69f2eb3faf7a8c1aa8",
+    "curves_val_loss.csv": "5ac69ee24f6031ed35046c7855da2f37b3f331fd1438658e722358356b706ff3",
+    "stdout": "7b220d1cb0805e62a1bc006022127d70e6067fcf9c56c90cb68b79b0377cc8ef",
+}
+
+
+class TestPinnedOutputs:
+    def test_compare_writes_the_pinned_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, (strategy, seed, accuracy) in PINNED_RUNS.items():
+            write_pinned_run(tmp_path / name, strategy, seed, accuracy)
+        assert cli.main(["compare", "--logs", *PINNED_RUNS, "--out", "cmp"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted((tmp_path / "cmp").iterdir())}
+        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == PINNED_DIGESTS
+
+
 ENV = {
     "numpy": "2.0.0",
     "blas": {"name": "scipy-openblas", "version": "0.3.27", "configuration": "USE64BITINT"},
@@ -74,7 +133,12 @@ def incomparable_runs(tmp_path, case):
         "blas-version": {"blas": {"version": "0.3.21"}},
         "thread-unset": {"threads": {"OPENBLAS_NUM_THREADS": None}},
         "thread-count": {"threads": {"OMP_NUM_THREADS": "2"}},
+        "thread-missing": {"threads": {"OMP_NUM_THREADS": "2"}},
     }[case])
+    if case == "thread-missing":  # the first env.json lacks the key, which counts as null
+        env = json.loads((runs[0] / "env.json").read_text())
+        del env["threads"]["OMP_NUM_THREADS"]
+        (runs[0] / "env.json").write_text(json.dumps(env))
     return runs
 
 
@@ -88,6 +152,7 @@ COMPARE_ERRORS = {
         "runs are not comparable: env.json OPENBLAS_NUM_THREADS differs: ['1', 'None']"
     ),
     "thread-count": "runs are not comparable: env.json OMP_NUM_THREADS differs: ['2', 'None']",
+    "thread-missing": "runs are not comparable: env.json OMP_NUM_THREADS differs: ['2', 'None']",
 }
 
 
