@@ -93,7 +93,7 @@ def _cmd_compare(args) -> int:
 
     report = compare_runs(args.logs, args.out)
     print(report.table_text)
-    print(f"report written to {report.out_dir}")
+    print(f"report written to {Path(args.out)}")
     return 0
 
 

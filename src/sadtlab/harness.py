@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .nn import Model, build_simple_cnn, build_tiny_mlp, save_checkpoint
 from .optim import AdamState, Schedule, cosine_lr
-from .strategies import NonFiniteLossError
+from .strategies import STRATEGY_IDS, NonFiniteLossError
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -288,7 +288,28 @@ class CompareError(ValueError):
     run directory cannot be read back."""
 
 
-SUMMARY_KEYS = ("strategy", "arch", "seed", "dataset_fingerprint", "final_test_accuracy")
+# what ``compare`` reads from a run directory: key -> (what it must be, test);
+# json.loads gives exact types, so ``type(v) is int`` turns away a bool
+SUMMARY_KEYS = {
+    "strategy": ("a strategy id", lambda v: isinstance(v, str) and v in STRATEGY_IDS),
+    "arch": ("a string", lambda v: isinstance(v, str)),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "dataset_fingerprint": ("a string", lambda v: isinstance(v, str)),
+    "final_test_accuracy": (  # NaN fails 0 <= v
+        "a number in [0, 1] or null", lambda v: v is None or (type(v) in (int, float) and 0 <= v <= 1)
+    ),
+}
+_FLAT_OBJECT = (
+    "an object of strings and nulls",
+    lambda v: isinstance(v, dict) and all(x is None or isinstance(x, str) for x in v.values()),
+)
+ENV_KEYS = {"blas": _FLAT_OBJECT, "threads": _FLAT_OBJECT}
+
+
+def _check_kinds(path: Path, values: dict, kinds: dict) -> None:
+    for key, (what, test) in kinds.items():
+        if not test(values[key]):
+            raise CompareError(f"{path}: {key} must be {what}, got {json.dumps(values[key])}")
 
 
 def _read_json_object(path: Path) -> dict:
@@ -304,14 +325,20 @@ def _read_json_object(path: Path) -> dict:
 def load_run(run_dir) -> dict:
     """Read a completed run directory back for comparison; ``env`` is None
     for a run written before ``env.json`` existed. A file that does not parse,
-    or a summary without one of ``SUMMARY_KEYS``, raises ``CompareError``."""
+    a summary without one of ``SUMMARY_KEYS``, or a value in it or in
+    ``env.json`` of another kind than ``SUMMARY_KEYS`` or ``ENV_KEYS`` name,
+    raises ``CompareError``."""
     run_dir = Path(run_dir)
-    summary = _read_json_object(run_dir / SUMMARY_FILE)
+    summary_path = run_dir / SUMMARY_FILE
+    summary = _read_json_object(summary_path)
     missing = [key for key in SUMMARY_KEYS if key not in summary]
     if missing:
-        raise CompareError(f"{run_dir / SUMMARY_FILE}: missing {', '.join(missing)}")
+        raise CompareError(f"{summary_path}: missing {', '.join(missing)}")
+    _check_kinds(summary_path, summary, SUMMARY_KEYS)
     env_path = run_dir / ENV_FILE
     env = _read_json_object(env_path) if env_path.exists() else None
+    if env is not None:  # a missing blas or threads reads as {}: its keys count as null
+        _check_kinds(env_path, {key: env.get(key, {}) for key in ENV_KEYS}, ENV_KEYS)
     rows: list[dict] = []
     metrics_path = run_dir / METRICS_FILE
     with open(metrics_path, newline="") as fh:
@@ -326,4 +353,4 @@ def load_run(run_dir) -> dict:
             raise CompareError(
                 f"{metrics_path}: line {reader.line_num}: bad or missing cell: {exc}"
             ) from exc
-    return {"dir": str(run_dir), "summary": summary, "env": env, "rows": rows}
+    return {"summary": summary, "env": env, "rows": rows}

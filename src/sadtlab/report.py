@@ -19,48 +19,41 @@ CURVE_METRICS = {
 @dataclass
 class ComparisonReport:
     strategies: list[str]  # row order
-    seeds: list[int]  # column order
-    cells: dict[tuple[str, int], float]  # (strategy, seed) -> final accuracy
     best: dict[int, str]  # seed -> best strategy
     table_text: str
-    out_dir: str
 
 
 def _curve(rows: list[dict], phase: str, key: str) -> tuple[list[int], list[float]]:
-    xs, ys = [], []
-    for row in rows:
-        if row["phase"] == phase and row[key] is not None:
-            xs.append(row["epoch"])
-            ys.append(row[key])
-    return xs, ys
+    points = [(r["epoch"], r[key]) for r in rows if r["phase"] == phase and r[key] is not None]
+    return [x for x, _ in points], [y for _, y in points]
 
 
-def _blas_setup(env: dict) -> dict:
-    """The parts of ``env.json`` that change a run's floats: the BLAS build
-    and its thread variables."""
-    blas = env.get("blas", {})
-    return {
-        "blas name": blas.get("name"), "blas version": blas.get("version"),
-        **env.get("threads", {}),
-    }
+def _identity(run: dict) -> dict:
+    """The keys that compared runs must agree on, as ``compare_runs`` lists them."""
+    identity = {key: run["summary"][key] for key in ("dataset_fingerprint", "arch")}
+    if run["env"] is not None:
+        blas, threads = run["env"].get("blas", {}), run["env"].get("threads", {})
+        setup = {"blas name": blas.get("name"), "blas version": blas.get("version"), **threads}
+        identity.update({f"env.json {key}": value for key, value in setup.items()})
+    return identity
 
 
-def _check_blas_setups(runs: list[dict]) -> None:
-    setups = [_blas_setup(r["env"]) for r in runs if r["env"] is not None]
-    for key in dict.fromkeys(k for setup in setups for k in setup):
-        values = {setup.get(key) for setup in setups}
-        if len(values) > 1:
-            raise CompareError(
-                f"runs are not comparable: env.json {key} differs: {sorted(map(str, values))}"
-            )
+def _cell(value: float | None, flag: str | None, digits: int, empty: str, flag_width: int) -> str:
+    """A value to ``digits`` places, then its flag padded to ``flag_width`` in a
+    flagged column (``flag`` not None); ``empty`` if the value is None."""
+    if value is None:
+        return empty
+    return f"{value:.{digits}f}" + ("" if flag is None else flag.ljust(flag_width))
 
 
 def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
     """Tabulate final test accuracies across runs and emit aligned curves.
 
-    All runs must share one dataset fingerprint and model architecture, and
-    the runs that have an ``env.json`` one BLAS name, version and set of
-    thread variables, since those change the floats. The
+    The runs must agree on every key of their identity: ``dataset_fingerprint``,
+    ``arch`` and, among the runs that have an ``env.json``, ``env.json blas
+    name``, ``env.json blas version`` and one ``env.json <VAR>`` per thread
+    variable, since those change the floats. A run without an ``env.json``
+    skips its keys; a key that one ``env.json`` lacks counts as null. The
     best accuracy per seed column is flagged with '*' in the text table and
     the comparison CSV; aborted runs leave their cell empty, and so does the
     mean of a strategy whose runs all aborted.
@@ -68,14 +61,11 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
     if len(run_dirs) < 2:
         raise CompareError("compare needs at least two runs")
     runs = [load_run(d) for d in run_dirs]
-    fingerprints = {r["summary"]["dataset_fingerprint"] for r in runs}
-    archs = {r["summary"]["arch"] for r in runs}
-    if len(fingerprints) > 1 or len(archs) > 1:
-        raise CompareError(
-            f"runs are not comparable: {len(fingerprints)} dataset fingerprints, "
-            f"architectures {sorted(archs)}"
-        )
-    _check_blas_setups(runs)
+    identities = [_identity(r) for r in runs]
+    for key in dict.fromkeys(k for identity in identities for k in identity):
+        values = {i.get(key) for i, r in zip(identities, runs) if key in i or r["env"] is not None}
+        if len(values) > 1:
+            raise CompareError(f"runs are not comparable: {key} differs: {sorted(map(str, values))}")
 
     cells: dict[tuple[str, int], float] = {}
     for r in runs:
@@ -91,47 +81,33 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
         if finished:  # aborted runs have no final accuracy and never win
             best[seed] = max(finished, key=lambda s: cells[(s, seed)])
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table_lines = [",".join(["strategy", *(f"seed_{s}" for s in seeds), "mean"])]
-    text_lines = []
-    header = f"{'strategy':<10}" + "".join(f"{f'seed {s}':>12}" for s in seeds) + f"{'mean':>12}"
-    text_lines.append(header)
+    # one row per strategy: a (value, flag) cell per seed column, then the mean,
+    # whose column has no flag; an aborted run, or a mean of none, is None
+    columns = [*(f"seed {s}" for s in seeds), "mean"]
+    rows = []
     for strat in strategies:
         values = [cells.get((strat, seed)) for seed in seeds]
         present = [v for v in values if v is not None]
-        csv_cells = [strat]
-        text_cells = [f"{strat:<10}"]
-        for seed, v in zip(seeds, values):
-            if v is None:
-                csv_cells.append("")
-                text_cells.append(f"{'-':>12}")
-            else:
-                flag = "*" if best.get(seed) == strat else ""
-                csv_cells.append(f"{v:.6f}{flag}")
-                text_cells.append(f"{v:.4f}{flag:<1}".rjust(12))
-        if present:
-            mean = sum(present) / len(present)
-            csv_cells.append(f"{mean:.6f}")
-            text_cells.append(f"{mean:.4f}".rjust(12))
-        else:  # every run aborted: no mean, shown like an aborted cell
-            csv_cells.append("")
-            text_cells.append(f"{'-':>12}")
-        table_lines.append(",".join(csv_cells))
-        text_lines.append("".join(text_cells))
-    table_text = "\n".join(text_lines)
-    (out / "comparison.csv").write_text("\n".join(table_lines) + "\n")
+        mean = sum(present) / len(present) if present else None
+        flags = ["*" if best.get(seed) == strat else "" for seed in seeds]
+        rows.append((strat, [*zip(values, flags), (mean, None)]))
+    csv_lines = [",".join(["strategy", *(c.replace(" ", "_") for c in columns)])]
+    csv_lines += [",".join([strat, *(_cell(v, f, 6, "", 0) for v, f in row)]) for strat, row in rows]
+    text_lines = [f"{'strategy':<10}" + "".join(f"{c:>12}" for c in columns)]
+    text_lines += [f"{strat:<10}" + "".join(_cell(v, f, 4, "-", 1).rjust(12) for v, f in row)
+                   for strat, row in rows]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
 
     labels = [f"{r['summary']['strategy']}-s{r['summary']['seed']}" for r in runs]
     for metric, (phase, key) in CURVE_METRICS.items():
-        series = {}
-        for label, r in zip(labels, runs):
-            series[label] = _curve(r["rows"], phase, key)
+        series = {label: _curve(r["rows"], phase, key) for label, r in zip(labels, runs)}
         _write_curve_csv(out / f"curves_{metric}.csv", series)
         (out / f"chart_{metric}.svg").write_text(
-            line_chart_svg(series, title=metric.replace("_", " "), xlabel="epoch", ylabel=metric)
+            line_chart_svg(series, title=metric.replace("_", " "), ylabel=metric)
         )
-    return ComparisonReport(strategies, seeds, cells, best, table_text, str(out))
+    return ComparisonReport(strategies, best, "\n".join(text_lines))
 
 
 def _write_curve_csv(path, series: dict[str, tuple[list[int], list[float]]]) -> None:
@@ -139,11 +115,8 @@ def _write_curve_csv(path, series: dict[str, tuple[list[int], list[float]]]) -> 
     lines = [",".join(["epoch", *series])]
     lookup = {label: dict(zip(xs, ys)) for label, (xs, ys) in series.items()}
     for epoch in epochs:
-        cells = [str(epoch)]
-        for label in series:
-            v = lookup[label].get(epoch)
-            cells.append("" if v is None else repr(v))
-        lines.append(",".join(cells))
+        values = (lookup[label].get(epoch) for label in series)
+        lines.append(",".join([str(epoch), *("" if v is None else repr(v) for v in values)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -156,14 +129,11 @@ _PALETTE = (
 def line_chart_svg(
     series: dict[str, tuple[list[float], list[float]]],
     title: str = "",
-    xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
-    """Self-contained SVG line chart; one polyline per labeled series."""
-    ml, mr, mt, mb = 64, 160, 36, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    """Self-contained 640x420 SVG line chart over epochs; one polyline per
+    labeled series."""
+    ml, mt, pw, ph = 64, 36, 416, 336  # margins: 64 left, 160 right, 36 top, 48 bottom
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
     if not xs_all:
@@ -182,9 +152,9 @@ def line_chart_svg(
         return mt + ph * (1.0 - (y - y0) / (y1 - y0))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" '
+        'viewBox="0 0 640 420" font-family="sans-serif" font-size="12">',
+        '<rect width="640" height="420" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#888"/>',
     ]
@@ -201,9 +171,7 @@ def line_chart_svg(
         parts.append(
             f'<text x="{px(xv):.1f}" y="{mt + ph + 16}" text-anchor="middle">{xv:.3g}</text>'
         )
-    parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
-    )
+    parts.append(f'<text x="{ml + pw / 2:.1f}" y="410" text-anchor="middle">epoch</text>')
     parts.append(
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>'

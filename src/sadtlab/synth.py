@@ -87,6 +87,9 @@ def generate_dataset_files(
     noise: float = 0.35,
 ) -> dict[str, str]:
     """Write train/test IDX pairs under out_dir; returns the four paths."""
+    for name, count in (("train_n", train_n), ("test_n", test_n)):
+        if count < 0:  # checked before out_dir is made
+            raise ValueError(f"{name} must be >= 0, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # one draw stream; test samples differ from train by position, not seed

@@ -240,3 +240,14 @@ def test_label_writer_rejects_labels_a_byte_cannot_hold(tmp_path, labels):
 def test_synthetic_digits_reject_class_counts_a_byte_cannot_hold(classes):
     with pytest.raises(ValueError, match=f"num_classes must be in 1..256, got {classes}"):
         synth.make_synthetic_digits(4, classes, 8, 8)
+
+
+@pytest.mark.parametrize("train_n, test_n, message", [
+    (-1, 4, "train_n must be >= 0, got -1"),
+    (4, -2, "test_n must be >= 0, got -2"),
+], ids=["train-n", "test-n"])
+def test_synthetic_files_reject_negative_counts_before_writing(tmp_path, train_n, test_n, message):
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match=message):
+        synth.generate_dataset_files(out, train_n, test_n, 3, 8, 8)
+    assert not out.exists()

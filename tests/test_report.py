@@ -10,11 +10,12 @@ from sadtlab.harness import CSV_HEADER, RunRow
 from sadtlab.report import CompareError, compare_runs, line_chart_svg
 
 
-def write_run(run_dir, strategy, seed, accuracy, aborted=None, fingerprint="f" * 64):
+def write_run(run_dir, strategy, seed, accuracy, aborted=None, fingerprint="f" * 64,
+              arch="simple_cnn"):
     run_dir.mkdir()
     summary = {
         "strategy": strategy,
-        "arch": "simple_cnn",
+        "arch": arch,
         "seed": seed,
         "dataset_fingerprint": fingerprint,
         "final_test_accuracy": accuracy,
@@ -122,6 +123,9 @@ def incomparable_runs(tmp_path, case):
     if case == "fingerprint":  # e.g. two runs of different train_size
         return [write_run(tmp_path / "a", "baseline", 0, 0.5),
                 write_run(tmp_path / "b", "sadt_v1", 0, 0.6, fingerprint="e" * 64)]
+    if case == "arch":
+        return [write_run(tmp_path / "a", "baseline", 0, 0.5),
+                write_run(tmp_path / "b", "sadt_v1", 0, 0.6, arch="tiny_mlp")]
     if case == "duplicate":
         return [write_run(tmp_path / "a", "baseline", 0, 0.5),
                 write_run(tmp_path / "b", "baseline", 0, 0.6)]
@@ -144,7 +148,8 @@ def incomparable_runs(tmp_path, case):
 
 COMPARE_ERRORS = {
     "one-run": "compare needs at least two runs",
-    "fingerprint": "runs are not comparable: 2 dataset fingerprints, architectures ['simple_cnn']",
+    "fingerprint": f"runs are not comparable: dataset_fingerprint differs: {['e' * 64, 'f' * 64]}",
+    "arch": "runs are not comparable: arch differs: ['simple_cnn', 'tiny_mlp']",
     "duplicate": "duplicate run for strategy/seed ('baseline', 0)",
     "blas-name": "runs are not comparable: env.json blas name differs: ['mkl', 'scipy-openblas']",
     "blas-version": "runs are not comparable: env.json blas version differs: ['0.3.21', '0.3.27']",
@@ -189,6 +194,15 @@ def unreadable_runs(tmp_path, case):
     returns them and the path and message the error names."""
     runs = [write_run(tmp_path / "a", "baseline", 0, 0.5),
             write_run(tmp_path / "b", "sadt_v1", 0, 0.6)]
+    if case in BAD_VALUES:  # one key of summary.json or env.json holds a value of another kind
+        name, key, value, message = BAD_VALUES[case]
+        bad = runs[0] / name
+        if name == "env.json":
+            write_env(runs[0])
+        content = json.loads(bad.read_text())
+        content[key] = value
+        bad.write_text(json.dumps(content))
+        return runs, f"{bad}: {message}"
     bad = runs[0] / {"metrics-cell": "metrics.csv", "env-json": "env.json"}.get(
         case, "summary.json")
     if case == "missing-keys":
@@ -211,7 +225,27 @@ def unreadable_runs(tmp_path, case):
     return runs, f"{bad}: {message}"
 
 
-UNREADABLE = ("summary-json", "env-json", "not-an-object", "missing-keys", "metrics-cell")
+# case -> (file, key, value, message): one value of another kind than compare reads
+BAD_VALUES = {
+    "accuracy-string": ("summary.json", "final_test_accuracy", "0.9",
+                        'final_test_accuracy must be a number in [0, 1] or null, got "0.9"'),
+    "accuracy-nan": ("summary.json", "final_test_accuracy", float("nan"),
+                     "final_test_accuracy must be a number in [0, 1] or null, got NaN"),
+    "seed-string": ("summary.json", "seed", "0", 'seed must be an integer, got "0"'),
+    "seed-bool": ("summary.json", "seed", True, "seed must be an integer, got true"),
+    "strategy-unknown": ("summary.json", "strategy", "nope",
+                         'strategy must be a strategy id, got "nope"'),
+    "arch-list": ("summary.json", "arch", ["simple_cnn"], 'arch must be a string, got ["simple_cnn"]'),
+    "fingerprint-null": ("summary.json", "dataset_fingerprint", None,
+                         "dataset_fingerprint must be a string, got null"),
+    "blas-null": ("env.json", "blas", None, "blas must be an object of strings and nulls, got null"),
+    "threads-list": ("env.json", "threads", ["1"],
+                     'threads must be an object of strings and nulls, got ["1"]'),
+    "thread-list": ("env.json", "threads", {"OMP_NUM_THREADS": ["1"]},
+                    'threads must be an object of strings and nulls, got {"OMP_NUM_THREADS": ["1"]}'),
+}
+UNREADABLE = ("summary-json", "env-json", "not-an-object", "missing-keys", "metrics-cell",
+              *BAD_VALUES)
 
 
 class TestUnreadableRuns:
