@@ -7,3 +7,6 @@ reproducible experiment harness.
 """
 
 __version__ = "0.1.0"
+
+# OpenBLAS splits a matmul's sums by its thread count, so results depend on it
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

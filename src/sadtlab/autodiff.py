@@ -14,10 +14,25 @@ and pooling ops: the im2col matmul produces its rows in that order, so a
 conv's output and its incoming gradient need no layout copy. Convolutions
 have the one geometry the models use: stride 1 and zero "same" padding from
 an odd, square kernel, so a conv keeps its input's spatial extent.
+
+Tapes stay single-threaded: an op records on its caller's tape, and
+:func:`backward` runs every backward function on the caller's thread. Inside
+one op, when the process may run on more than one CPU, the per-image kernels
+of the conv stack run as two lanes: the caller takes the first half of the
+images, one worker thread the rest. They are the padding, the im2col gather,
+both conv matmuls, ``col2im`` and the pool forward and backward; the kernel
+gradient splits by output channel instead. Lanes split only rows and
+channels, never a sum: each lane writes its own rows of buffers the caller
+allocated, with the kernel the whole array would get, and each lane's matmul
+is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies it with the
+kernel it uses for the whole product. So one lane or two give the same bits.
+The bias gradient sums over the batch and stays on one lane.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 import threading
 from typing import Callable
 
@@ -294,6 +309,104 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# lanes: a kernel's images or channels split over two cores
+# ---------------------------------------------------------------------------
+
+# Least multiply-adds each lane must hold, or a kernel runs on one lane. It is
+# a correctness rule as well as a speed one: OpenBLAS multiplies a product of
+# up to ~1e6 M*N*K with its small-matrix kernel, which rounds differently from
+# the whole product's kernel. The margin keeps the 8x8 training convs, where
+# a handoff costs about what the split saves, on one lane.
+_LANE_MIN_WORK = 4_000_000
+# a pool cell's forward takes about as long as this many multiply-adds of a
+# one-thread BLAS product
+_POOL_WORK_PER_CELL = 32
+
+
+class _Worker:
+    """One daemon thread that runs the upper lane of split kernels.
+
+    It runs numpy kernels only, never a tape op, under the errstate of the
+    thread that handed it the lane. Jobs go in on one queue; each reply comes
+    back on a queue of its own, so callers on several threads share it.
+    """
+
+    def __init__(self):
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+        self._starting = threading.Lock()
+
+    def _serve(self) -> None:
+        while True:
+            fn, lo, hi, errstate, reply = self._jobs.get()
+            failure = None
+            try:
+                with np.errstate(**errstate):
+                    fn(lo, hi)
+            except BaseException as exc:  # re-raised in the caller
+                failure = exc
+            # fn's closure holds the op's buffers: they must not outlive the op
+            del fn
+            reply.put(failure)
+            del failure
+
+    def submit(self, fn: Callable[[int, int], None], lo: int, hi: int) -> queue.SimpleQueue:
+        with self._starting:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, name="sadtlab-lane",
+                                                daemon=True)
+                self._thread.start()
+        reply: queue.SimpleQueue = queue.SimpleQueue()
+        errstate = {**np.geterr(), "call": np.geterrcall()}
+        self._jobs.put((fn, lo, hi, errstate, reply))
+        return reply
+
+
+def _new_worker() -> _Worker | None:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return _Worker() if affinity is not None and len(affinity(0)) > 1 else None
+
+
+_WORKER = _new_worker()
+
+
+def _reset_worker() -> None:
+    # a forked child has no worker thread; a fresh worker starts its own
+    global _WORKER
+    if _WORKER is not None:
+        _WORKER = _Worker()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_worker)
+
+
+def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None]) -> None:
+    """Run ``fn(lo, hi)`` over the items ``[0, n)``: the caller runs
+    ``fn(0, n // 2)`` while the worker runs ``fn(n // 2, n)``, or the caller
+    runs ``fn(0, n)`` alone when there is no worker or a lane would hold
+    fewer than ``_LANE_MIN_WORK`` multiply-adds.
+
+    ``fn`` writes only items ``[lo, hi)`` of buffers the caller allocated,
+    with numpy kernels only. A failure in the worker's lane re-raises here.
+    """
+    half = n // 2
+    worker = _WORKER
+    # one item per lane never splits: a kernel-gradient lane of one channel
+    # would turn numpy's gemm into a gemv, which sums in another order
+    if worker is None or half < 2 or half * work_per_item < _LANE_MIN_WORK:
+        fn(0, n)
+        return
+    reply = worker.submit(fn, half, n)
+    try:
+        fn(0, half)
+    finally:
+        failure = reply.get()  # the worker's lane must end before the buffers are used
+    if failure is not None:
+        raise failure
+
+
+# ---------------------------------------------------------------------------
 # convolution / pooling
 # ---------------------------------------------------------------------------
 
@@ -301,21 +414,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _COL2IM_BLOCK_BYTES = 1 << 20
 
 
-def _im2col(xd: np.ndarray, k: int) -> np.ndarray:
-    n, h, w, c = xd.shape
-    pad = k // 2
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    xp[:, pad : pad + h, pad : pad + w, :] = xd
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    # one gathering copy; the (c, kh, kw) column order fixes the matmuls' sum order
-    return win.reshape(n * h * w, c * k * k)
-
-
-def _col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
-    n, h, w, c = xshape
-    pad = k // 2
+def _col2im_add(gp: np.ndarray, gcols: np.ndarray, k: int) -> None:
+    """Add the windows of ``gcols`` into the zeroed, padded ``gp``."""
+    n, hp, wp, c = gp.shape
+    h, w = hp - k + 1, wp - k + 1
     gwin = gcols.reshape(n, h, w, c, k, k)
-    gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     # overlapping windows accumulate through k*k shifted adds, fixed order. The
     # adds read gcols at a stride of k*k, so they run a few images at a time:
     # a block's ~1 MiB of gcols stays in cache for all k*k reads, where the
@@ -327,6 +430,13 @@ def _col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
         for i in range(k):
             for j in range(k):
                 pb[:, i : i + h, j : j + w, :] += gb[:, :, :, :, i, j]
+
+
+def _col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
+    n, h, w, c = xshape
+    pad = k // 2
+    gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    _col2im_add(gp, gcols, k)
     return gp[:, pad : pad + h, pad : pad + w, :]
 
 
@@ -351,16 +461,48 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (f,):
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
 
-    cols = _im2col(x.data, kh)
-    wmat = kernel.data.reshape(f, c * kh * kw)
-    out = (cols @ wmat.T).reshape(n, h, w, f)
-    if bias is not None:
-        out += bias.data
+    k, pad, hw = kh, kh // 2, h * w
+    wmat = kernel.data.reshape(f, c * k * k)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    # one im2col row per output pixel, in (c, kh, kw) column order: that order
+    # fixes the matmuls' sum order
+    cols = np.empty((n * hw, c * k * k))
+    out = np.empty((n, h, w, f))
+    out_rows = out.reshape(n * hw, f)
+
+    def forward(lo, hi):
+        rows = slice(lo * hw, hi * hw)
+        xp[lo:hi, pad : pad + h, pad : pad + w] = x.data[lo:hi]
+        win = np.lib.stride_tricks.sliding_window_view(xp[lo:hi], (k, k), axis=(1, 2))
+        cols[rows].reshape(win.shape)[...] = win  # one gathering copy
+        np.matmul(cols[rows], wmat.T, out=out_rows[rows])
+        if bias is not None:
+            out_rows[rows] += bias.data
+
+    _lanes(n, hw * f * c * k * k, forward)
 
     def bw(g, needs):
         gm = g.reshape(-1, f)
-        gk = (gm.T @ cols).reshape(kernel.data.shape) if needs[1] else None
-        gx = _col2im(gm @ wmat, x.data.shape, kh) if needs[0] else None
+        gk = gx = None
+        if needs[1]:
+            gk = np.empty(kernel.data.shape)
+            gk_rows = gk.reshape(f, c * k * k)
+
+            def kernel_grad(lo, hi):
+                np.matmul(gm[:, lo:hi].T, cols, out=gk_rows[lo:hi])
+
+            _lanes(f, n * hw * c * k * k, kernel_grad)
+        if needs[0]:
+            gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+            gcols = np.empty(cols.shape)
+
+            def input_grad(lo, hi):
+                rows = slice(lo * hw, hi * hw)
+                np.matmul(gm[rows], wmat, out=gcols[rows])
+                _col2im_add(gp[lo:hi], gcols[rows], k)
+
+            _lanes(n, hw * f * c * k * k, input_grad)
+            gx = gp[:, pad : pad + h, pad : pad + w, :]
         if bias is None:
             return gx, gk
         gb = None
@@ -391,27 +533,37 @@ def max_pool2x2(t: Tensor) -> Tensor:
 
     def windows(a: np.ndarray) -> np.ndarray:
         # N x H2 x 2 x W2 x 2 x C view of the cells the windows cover
-        return a[:, : h2 * 2, : w2 * 2].reshape(n, h2, 2, w2, 2, c)
+        return a[:, : h2 * 2, : w2 * 2].reshape(len(a), h2, 2, w2, 2, c)
 
     x = t.data
-    win = windows(x)
-    out = np.maximum(
-        np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1]),
-        np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]),
-    )
+    out = np.empty((n, h2, w2, c))
+    work = h * w * c * _POOL_WORK_PER_CELL
+
+    def forward(lo, hi):
+        win, top = windows(x[lo:hi]), out[lo:hi]
+        np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1], out=top)
+        np.maximum(top, np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]), out=top)
+
+    _lanes(n, work, forward)
 
     def bw(g, needs):
-        # one pass over x: a cell is a max where it equals the window's max
-        routed = np.equal(win, out[:, :, None, :, None, :])
-        seen = routed[:, :, 0, :, 0].copy()
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            cell = routed[:, :, i, :, j]
-            np.greater(cell, seen, out=cell)  # on bools: cell and not seen
-            np.logical_or(seen, cell, out=seen)
         # odd extents leave a last row or column that no window covers: +0.0
         even = h == h2 * 2 and w == w2 * 2
         gx = np.empty(x.shape) if even else np.zeros(x.shape)
-        np.multiply(g[:, :, None, :, None, :], routed, out=windows(gx))
+        routed = np.empty((n, h2, 2, w2, 2, c), dtype=bool)
+
+        def backward_lane(lo, hi):
+            # one pass over x: a cell is a max where it equals the window's max
+            cells = routed[lo:hi]
+            np.equal(windows(x[lo:hi]), out[lo:hi, :, None, :, None, :], out=cells)
+            seen = cells[:, :, 0, :, 0].copy()
+            for i, j in ((0, 1), (1, 0), (1, 1)):
+                cell = cells[:, :, i, :, j]
+                np.greater(cell, seen, out=cell)  # on bools: cell and not seen
+                np.logical_or(seen, cell, out=seen)
+            np.multiply(g[lo:hi, :, None, :, None, :], cells, out=windows(gx[lo:hi]))
+
+        _lanes(n, work, backward_lane)
         return (gx,)
 
     return _apply(out, (t,), bw)

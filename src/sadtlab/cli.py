@@ -5,8 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+from . import BLAS_THREAD_VARS
 
 
 class UsageError(Exception):
@@ -185,7 +188,18 @@ def _input_errors() -> tuple[type[Exception], ...]:
     return UsageError, ConfigError, DataFormatError, CheckpointError, CompareError
 
 
+def _pin_blas_threads() -> None:
+    """One BLAS thread unless the user chose a count: the thread count changes
+    the floats, so one config then gives one set of logs on any machine with
+    the same BLAS build. BLAS reads the count once, when numpy loads, so a
+    process that loaded numpy already is left as it is."""
+    if "numpy" not in sys.modules:
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_blas_threads()
     parser = argparse.ArgumentParser(prog="sadtlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     _add_train(sub)

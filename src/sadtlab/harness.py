@@ -6,7 +6,8 @@ noise from (3, epoch, batch). Strategies therefore consume byte-identical
 batch streams for a shared seed, and identical configs reproduce identical
 logs, given the same BLAS thread count: OpenBLAS splits a matmul's sums by
 its thread count, so one config run with a different number of threads
-writes different floats. ``env.json`` records that environment beside the
+writes different floats. The ``sadtlab`` command pins one thread unless the
+user set a count, and ``env.json`` records that environment beside the
 outputs. Wall-clock timings are kept out of the metric CSV (they are the one
 non-reproducible quantity) and go to an optional sidecar instead.
 """
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .autodiff import ShapeError
 from .config import (
     ConfigError, DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields,
@@ -45,7 +46,6 @@ CHECKPOINT_FILE = "final.ckpt"
 ABORT_CHECKPOINT_FILE = "abort.ckpt"
 WALL_TIMES_FILE = "wall_times.csv"
 ENV_FILE = "env.json"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass

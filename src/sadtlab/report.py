@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,10 @@ class ComparisonReport:
 
 
 def _curve(rows: list[dict], phase: str, key: str) -> tuple[list[int], list[float]]:
-    points = [(r["epoch"], r[key]) for r in rows if r["phase"] == phase and r[key] is not None]
+    """The finite ``key`` values of ``phase`` rows by epoch; a nan or inf
+    (an overflowed loss) is left out, as an empty cell would be."""
+    points = [(r["epoch"], r[key]) for r in rows
+              if r["phase"] == phase and r[key] is not None and math.isfinite(r[key])]
     return [x for x, _ in points], [y for _, y in points]
 
 

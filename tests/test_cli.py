@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadtlab import cli, synth
+from sadtlab import BLAS_THREAD_VARS, cli, synth
 from sadtlab.config import ConfigError, parse_config
 from sadtlab.data import load_idx
 from sadtlab.harness import environment, run_experiment
@@ -285,6 +285,28 @@ def test_importing_the_cli_loads_no_numerics():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("given, recorded", [
+    ({}, {var: "1" for var in BLAS_THREAD_VARS}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                                     "MKL_NUM_THREADS": "1"}),
+], ids=["unset", "user-set"])
+def test_the_cli_pins_unset_blas_thread_counts_to_one(tmp_path, given, recorded):
+    paths = synth.generate_dataset_files(tmp_path / "data", 8, 4, 3, 8, 8, seed=0)
+    config = tmp_path / "tiny.ini"
+    config.write_text(
+        "[data]\n" + "".join(f"{key} = {path}\n" for key, path in paths.items())
+        + "train_size = 8\ntest_size = 4\nnum_classes = 3\n"
+        "[train]\nepochs = 1\nbatch_size = 4\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    env.update(given, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "sadtlab.cli", "train", "--config", str(config),
+                    "--out", str(tmp_path / "run")], env=env, capture_output=True, check=True)
+    threads = json.loads((tmp_path / "run" / "env.json").read_text())["threads"]
+    assert threads == recorded
 
 
 @pytest.mark.parametrize("extra, message", [

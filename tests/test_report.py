@@ -265,15 +265,18 @@ class TestUnreadableRuns:
         assert not (tmp_path / "cmp").exists()
 
 
-def write_curve_run(run_dir, strategy, accuracies):
-    """A finished run whose eval_test rows hold ``accuracies`` (epoch -> value)."""
+def write_curve_run(run_dir, strategy, accuracies, losses=None):
+    """A finished run whose eval_test rows hold ``accuracies`` and ``losses``
+    (epoch -> value; a loss defaults to 1.0)."""
     run_dir.mkdir()
     summary = {
         "strategy": strategy, "arch": "simple_cnn", "seed": 0,
         "dataset_fingerprint": "f" * 64, "final_test_accuracy": 0.5, "aborted": None,
     }
     (run_dir / "summary.json").write_text(json.dumps(summary))
-    rows = [RunRow(4 * epoch, epoch, "eval_test", task_loss=1.0, accuracy=acc).csv_line()
+    losses = losses or {}
+    rows = [RunRow(4 * epoch, epoch, "eval_test", task_loss=losses.get(epoch, 1.0),
+                   accuracy=acc).csv_line()
             for epoch, acc in accuracies.items()]
     (run_dir / "metrics.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n")
     return run_dir
@@ -312,6 +315,24 @@ class TestCurves:
         assert (tmp_path / "cmp" / "curves_train_loss.csv").read_text() == (
             "epoch,baseline-s0,sadt_v1-s0\n"
         )
+
+
+    def test_non_finite_values_leave_empty_cells_and_no_nan_in_the_chart(self, tmp_path):
+        accuracies = {0: 0.1, 1: 0.2, 2: 0.3}
+        runs = [
+            write_curve_run(tmp_path / "base", "baseline", accuracies, {0: math.nan, 1: 2.0}),
+            write_curve_run(tmp_path / "v1", "sadt_v1", accuracies, {1: math.inf, 2: 1.25}),
+        ]
+        compare_runs(runs, tmp_path / "cmp")
+        assert (tmp_path / "cmp" / "curves_val_loss.csv").read_text().splitlines() == [
+            "epoch,baseline-s0,sadt_v1-s0",
+            "0,,1.0",
+            "1,2.0,",
+            "2,1.0,1.25",
+        ]
+        svg = (tmp_path / "cmp" / "chart_val_loss.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert [len(points) for points in polylines(ET.fromstring(svg))] == [2, 2]
 
 
 class TestLineChart:
