@@ -1,13 +1,16 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
-A fresh :class:`Tape` is opened per forward pass; operations record onto the
-innermost active tape whenever a participating tensor needs gradients. A tape
-is consumed by a single :func:`backward` call, which walks the recorded nodes
-in reverse append order exactly once. A consumed tape's graph (each node's
-parents and backward function, and with them the pass's activations and
-im2col columns) is released at the next :func:`backward` on the same thread,
-so reference counting frees it; the most recently consumed graph stays alive
-until then. ``tape.nodes`` itself is kept.
+A :class:`Tape` records a forward pass; operations record onto the innermost
+active tape whenever a participating tensor needs gradients. A tape is walked
+once per loss: :func:`backward` walks the nodes below its loss in reverse
+append order, each at most once, and a second walk from the same loss
+raises. So several heads can share one recorded prefix: each head's loss is
+walked on its own, and the nodes of another head, which hold no gradient
+from this loss, are skipped. A walked tape's graph (each node's parents and
+backward function, and with them the pass's activations and im2col columns)
+is released at the next :func:`backward` of another tape on the same thread,
+so reference counting frees it; the most recently walked tape's graph stays
+alive until then, however often it is walked. ``tape.nodes`` itself is kept.
 
 Image tensors are channels last (N x H x W x C) throughout the convolution
 and pooling ops: the im2col matmul produces its rows in that order, so a
@@ -21,11 +24,13 @@ one op, when the process may run on more than one CPU, the per-image kernels
 of the conv stack run as two lanes: the caller takes the first half of the
 images, one worker thread the rest. They are the padding, the im2col gather,
 both conv matmuls, ``col2im`` and the pool forward and backward; the kernel
-gradient splits by output channel instead. Lanes split only rows and
-channels, never a sum: each lane writes its own rows of buffers the caller
-allocated, with the kernel the whole array would get, and each lane's matmul
-is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies it with the
-kernel it uses for the whole product. So one lane or two give the same bits.
+gradient splits by output channel instead, unless its lanes are too narrow
+for numpy to release the GIL (``_MATMUL_GIL_MAX_OUT``). Lanes split only
+rows and channels, never a sum: each lane writes its own rows of buffers the
+caller allocated, with the kernel the whole array would get, and each
+lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies
+it with the kernel it uses for the whole product. So one lane or two give
+the same bits.
 The bias gradient sums over the batch and stays on one lane.
 """
 
@@ -44,7 +49,8 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Backward misuse: non-scalar loss, missing tape, or consumed tape."""
+    """Backward misuse: non-scalar loss, missing tape, a loss walked twice, or a
+    released tape."""
 
 
 def _as_f64(values) -> np.ndarray:
@@ -116,12 +122,14 @@ class Tape:
     """Append-ordered operation record for one forward pass.
 
     Used as a context manager; nested tapes are allowed and the innermost
-    one records. Single-threaded by construction (thread-local stack).
+    one records. A tape may be entered again to record a further head onto
+    it. Single-threaded by construction (thread-local stack).
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.consumed = False
+        self.walked: set[int] = set()  # node indices of the losses walked so far
+        self.released = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -152,21 +160,23 @@ def _apply(out_data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse sweep from a scalar loss; consumes the loss's tape.
+    """Reverse sweep from a scalar loss, once per loss.
 
     Returns gradients for every leaf tensor (``requires_grad=True``) reached
     from the loss. Leaves not on any path to the loss are simply absent.
-    Afterwards it releases the graph of the tape consumed before this one on
-    the same thread; this tape's graph is released by the next call.
+    Afterwards, unless the loss is on the tape walked last, it releases that
+    tape's graph; this tape's graph is released by the next walk of another.
     """
     if loss.node is None:
         raise TapeError("loss is not recorded on any tape")
     tape = loss.node.tape
-    if tape.consumed:
-        raise TapeError("backward already ran on this tape")
+    if loss.node.index in tape.walked:
+        raise TapeError("backward already ran from this loss")
+    if tape.released:
+        raise TapeError("this tape's graph was released by a later backward")
     if loss.data.shape != ():
         raise TapeError(f"loss must be a scalar, got shape {loss.data.shape}")
-    tape.consumed = True
+    tape.walked.add(loss.node.index)
 
     grads_by_node: dict[int, np.ndarray] = {loss.node.index: np.ones((), dtype=np.float64)}
     leaf_grads: dict[Tensor, np.ndarray] = {}
@@ -190,12 +200,13 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     # OS and the next pass faults it in again. The older graph freed here sits
     # below the newer pass's buffers in the heap and is reused warm (28x28,
     # batch 64: 10.7k-21k minor faults per baseline/sadt step against 0-3.6k).
-    previous = getattr(_ACTIVE, "consumed", None)
-    if previous is not None:
+    previous = getattr(_ACTIVE, "walked", None)
+    if previous is not None and previous is not tape:
         for node in previous.nodes:
             node.parents = ()
             node.backward_fn = None
-    _ACTIVE.consumed = tape
+        previous.released = True
+    _ACTIVE.walked = tape
     return leaf_grads
 
 
@@ -321,6 +332,11 @@ _LANE_MIN_WORK = 4_000_000
 # a pool cell's forward takes about as long as this many multiply-adds of a
 # one-thread BLAS product
 _POOL_WORK_PER_CELL = 32
+# numpy's matmul releases the GIL only for a product of more output elements
+# than this (numpy 2.4.6: a 500-element product kept it, a 501-element one
+# released it). The worker's lane of a narrower product would start only once
+# the caller's lane had returned, so such a product runs on one lane.
+_MATMUL_GIL_MAX_OUT = 500
 
 
 class _Worker:
@@ -491,7 +507,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             def kernel_grad(lo, hi):
                 np.matmul(gm[:, lo:hi].T, cols, out=gk_rows[lo:hi])
 
-            _lanes(f, n * hw * c * k * k, kernel_grad)
+            if (f // 2) * c * k * k > _MATMUL_GIL_MAX_OUT:  # conv1's lanes write 16 x 9
+                _lanes(f, n * hw * c * k * k, kernel_grad)
+            else:
+                kernel_grad(0, f)
         if needs[0]:
             gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
             gcols = np.empty(cols.shape)

@@ -147,7 +147,8 @@ def dataset_fingerprint(cfg: ExperimentConfig) -> str:
 def environment() -> dict:
     """What a run's floats depend on beyond its config: the numpy version, its
     BLAS (name, version, build configuration), the BLAS thread variables
-    (null when unset) and the CPU count."""
+    (null when unset) and the count of CPUs the process may run on, its
+    affinity where the OS has one: more than one starts the conv lane worker."""
     try:
         deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     except TypeError:  # numpy before 1.26 has no mode="dicts"
@@ -161,7 +162,8 @@ def environment() -> dict:
             "configuration": blas.get("openblas configuration"),
         },
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "cpu_count": os.cpu_count(),
+        "cpu_count": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count()),
     }
 
 

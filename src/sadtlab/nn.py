@@ -140,33 +140,37 @@ class Model:
         self.params = params
         self.input_shape = input_shape  # (C, H, W) or (input_dim,)
 
-    def forward(self, images: Tensor) -> Tensor:
-        """Raw pre-softmax logits for a batch, recorded on the active tape."""
+    def layers(self) -> list[str]:
+        """Layer names in forward order: the conv layers, then the dense ones."""
+        return self.params.layers("conv") + self.params.layers("dense")
+
+    def forward(self, x: Tensor, start: str | None = None, stop: str | None = None) -> Tensor:
+        """Raw pre-softmax logits for a batch, recorded on the active tape.
+
+        ``stop`` ends the forward before that layer and returns the activation
+        the layer would take; ``start`` resumes at that layer from such an
+        activation ``x`` instead of a batch of images. Every layer runs the same
+        ops either way, so a forward split in two gives the whole one's bits.
+        """
+        layers = self.layers()
+        lo = 0 if start is None else layers.index(start)
+        hi = len(layers) if stop is None else layers.index(stop)
+        if start is None:
+            x = self._entry(x)
+        for layer in layers[lo:hi]:
+            x = self._layer(layer, x, last=layer == layers[-1])
+        return x
+
+    def _entry(self, images: Tensor) -> Tensor:
+        """The first layer's input. A CNN takes images N x C x H x W and carries
+        them channels last (N x H x W x C) through every conv, pool and ReLU;
+        an MLP takes them flattened."""
         if self.params.layers("conv"):
-            return self._forward_cnn(images)
-        return self._forward_mlp(images)
-
-    def _forward_cnn(self, images: Tensor) -> Tensor:
-        """Images come in N x C x H x W and are carried channels last
-        (N x H x W x C) through every conv, pool and ReLU. Before the flatten
-        they are transposed back to channels first, so ``dense1.weight`` rows
-        keep their (C, H, W) order and checkpoints stay interchangeable."""
-        if images.data.ndim != 4 or images.shape[1:] != tuple(self.input_shape):
-            raise ShapeError(
-                f"expected batch of shape N x {self.input_shape}, got {images.shape}"
-            )
-        x = transpose(images, (0, 2, 3, 1))
-        for layer in self.params.layers("conv"):
-            w = self.params.get(f"{layer}.weight")
-            b = self.params.get(f"{layer}.bias")
-            x = conv2d(x, w, b)
-            x = max_pool2x2(x)
-            x = relu(x)
-        x = transpose(x, (0, 3, 1, 2))
-        x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        return self._dense_stack(x)
-
-    def _forward_mlp(self, images: Tensor) -> Tensor:
+            if images.data.ndim != 4 or images.shape[1:] != tuple(self.input_shape):
+                raise ShapeError(
+                    f"expected batch of shape N x {self.input_shape}, got {images.shape}"
+                )
+            return transpose(images, (0, 2, 3, 1))
         x = images
         if x.data.ndim > 2:
             x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
@@ -174,19 +178,24 @@ class Model:
             raise ShapeError(
                 f"expected batch of {self.input_shape[0]} features, got {images.shape}"
             )
-        return self._dense_stack(x)
-
-    def _dense_stack(self, x: Tensor) -> Tensor:
-        layers = self.params.layers("dense")
-        for i, layer in enumerate(layers):
-            w = self.params.get(f"{layer}.weight")
-            b = self.params.get(f"{layer}.bias")
-            if x.shape[1] != w.shape[0]:
-                raise ShapeError(f"{layer} expects {w.shape[0]} features, got {x.shape[1]}")
-            x = add(matmul(x, w), b)
-            if i < len(layers) - 1:
-                x = relu(x)
         return x
+
+    def _layer(self, layer: str, x: Tensor, last: bool) -> Tensor:
+        """One layer: conv, 2x2 max pool and ReLU, or dense with a ReLU unless
+        it is the last. A dense layer flattens a channels-last input, transposed
+        back to channels first, so ``dense1.weight`` rows keep their (C, H, W)
+        order and checkpoints stay interchangeable."""
+        w = self.params.get(f"{layer}.weight")
+        b = self.params.get(f"{layer}.bias")
+        if self.params.entry(f"{layer}.weight").kind == "conv":
+            return relu(max_pool2x2(conv2d(x, w, b)))
+        if x.data.ndim == 4:
+            x = transpose(x, (0, 3, 1, 2))
+            x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
+        if x.shape[1] != w.shape[0]:
+            raise ShapeError(f"{layer} expects {w.shape[0]} features, got {x.shape[1]}")
+        x = add(matmul(x, w), b)
+        return x if last else relu(x)
 
     @property
     def num_classes(self) -> int:

@@ -227,7 +227,7 @@ class NoiseRecord:
         return self.entries[name][0]
 
 
-def _noise_targets(params: ParamSet, layer_filter: str) -> dict[str, np.ndarray]:
+def noise_targets(params: ParamSet, layer_filter: str) -> dict[str, np.ndarray]:
     if not isinstance(params, ParamSet):
         raise NoiseError(f"noise applies to parameters, not to {type(params).__name__}")
     if layer_filter not in PARAM_FILTERS:
@@ -242,7 +242,7 @@ def _noise_targets(params: ParamSet, layer_filter: str) -> dict[str, np.ndarray]
 
 def shift_params(params: ParamSet, shifts: dict[str, np.ndarray]) -> NoiseRecord:
     """Add each named shift to its parameter in place, after checking every name and shape."""
-    arrays = _noise_targets(params, "all")
+    arrays = noise_targets(params, "all")
     record = NoiseRecord()
     for name, shift in shifts.items():
         if name not in arrays or shift.shape != arrays[name].shape:
@@ -266,7 +266,7 @@ def add_noise(
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    selected = _noise_targets(params, layer_filter)
+    selected = noise_targets(params, layer_filter)
     if not selected:
         raise NoiseError(f"filter {layer_filter!r} selected no tensors")
     return shift_params(params, {n: rng.normal(0.0, sigma, size=a.shape) for n, a in selected.items()})
@@ -280,7 +280,7 @@ def subtract_noise(params: ParamSet, record: NoiseRecord) -> None:
     """
     if record.consumed:
         raise NoiseError("noise record already applied (single-use)")
-    arrays = _noise_targets(params, "all")
+    arrays = noise_targets(params, "all")
     for name, (shift, before) in record.entries.items():
         if name not in arrays or not np.array_equal(arrays[name], before + shift):
             raise NoiseError(f"target {name} is not in the state this record was taken from")

@@ -14,9 +14,12 @@ filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 2. the gradient transform, or the sam ascent (the gradient at a copy of w
    moved rho along the normalized gradient);
 3. with teachers: a transient update of a copy of w, on an optimizer clone,
-   gives the self-teacher weights w_up; each teacher shifts that copy,
-   differentiates the KL between the pre-update logits (held constant) and
-   its own logits, and removes its shift; the task and KL gradients are summed;
+   gives the self-teacher weights w_up. The teachers share the forward of the
+   layers none of them shifts: it is recorded once, at w_up, on one tape.
+   Each teacher then shifts the copy, records its head (the layers from the
+   first shifted one on) on that tape, differentiates the KL between the
+   pre-update logits (held constant) and its own logits, and removes its
+   shift; the task and KL gradients are summed;
 4. one update of the live weights with the persistent optimizer state, from
    w_up (copied in) or, with rollback_to_w, from w. Nothing moves them before
    it, so a step that raises leaves them as they were.
@@ -48,6 +51,7 @@ from .optim import (
     add_noise,
     aggregate_gradients,
     gradient_centralize,
+    noise_targets,
     shift_params,
     subtract_noise,
 )
@@ -153,7 +157,7 @@ class Strategy:
         self._validate(model, teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
         task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
-        logits_w, task_loss, grads = _grad_pass(model, batch.images, task, "task")
+        logits_w, task_loss, grads = _grad_pass(model, Tensor(batch.images), task, "task")
         flags: tuple[str, ...] = ()
         if transform == "gc":
             grads = gradient_centralize(grads)
@@ -165,7 +169,7 @@ class Strategy:
                 flags = ("zero-gradient",)
             else:
                 _mark(trace, "perturbed", shifted.params)
-                _, _, grads = _grad_pass(shifted, batch.images, task, "task")
+                _, _, grads = _grad_pass(shifted, Tensor(batch.images), task, "task")
         kl_loss = 0.0
         if teachers:
             rngs = [np.random.default_rng(child) for child in noise_seed.spawn(len(teachers))]
@@ -175,12 +179,18 @@ class Strategy:
             _mark(trace, "w_up", teacher.params)
             parts = [grads]
             kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
+            # the teachers share the forward of the layers before the first one they shift
+            split = _first_shifted_layer(teacher, teachers)
+            tape, x = Tape(), Tensor(batch.images)
+            if split is not None:
+                with tape:
+                    x = teacher.forward(x, stop=split)
             for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
                 record = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr)
                 if trace is not None:
                     trace.records.append(record)
                 _mark(trace, f"aux_{i}", teacher.params)
-                _, kl, g_aux = _grad_pass(teacher, batch.images, kl_of, "KL")
+                _, kl, g_aux = _grad_pass(teacher, x, kl_of, "KL", tape, split)
                 subtract_noise(teacher.params, record)
                 _mark(trace, f"rollback_{i}", teacher.params)
                 kl_loss += kl
@@ -219,6 +229,19 @@ class Strategy:
         )
 
 
+def _first_shifted_layer(model: Model, teachers: tuple[str, ...]) -> str | None:
+    """The first layer, in forward order, that any teacher shifts; None when
+    it is the first layer, so the teachers share no prefix. Every teacher's
+    forward runs the same ops on the same arrays before that layer."""
+    shifted = set()
+    for layer_filter in teachers:  # "gradient-all" shifts every entry
+        names = noise_targets(model.params, layer_filter if layer_filter in PARAM_FILTERS else "all")
+        shifted.update(model.params.entry(name).layer for name in names)
+    layers = model.layers()
+    first = next(layer for layer in layers if layer in shifted)
+    return None if first == layers[0] else first
+
+
 def sam_point(model: Model, grads: GradSet, rho: float) -> Model | None:
     """A copy of the model at w + rho * g/||g||, or None for a zero gradient."""
     norm = grads.global_norm()
@@ -241,12 +264,17 @@ def mixed_cross_entropy(logits: Tensor, batch: MixedBatch, num_classes: int) -> 
 
 
 def _grad_pass(
-    model: Model, images: np.ndarray, loss_of: Callable[[Tensor], Tensor], what: str
+    model: Model, x: Tensor, loss_of: Callable[[Tensor], Tensor], what: str,
+    tape: Tape | None = None, start: str | None = None,
 ) -> tuple[np.ndarray, float, GradSet]:
     """Logits, loss and gradient of ``loss_of(logits)`` at the current weights;
-    a non-finite loss raises ``NonFiniteLossError`` naming ``what``."""
-    with Tape():
-        logits = model.forward(Tensor(images))
+    a non-finite loss raises ``NonFiniteLossError`` naming ``what``.
+
+    The forward records on ``tape`` (a fresh one by default). With ``start``
+    it begins at that layer, and ``x`` is that layer's input recorded on the
+    same tape; otherwise ``x`` holds the images."""
+    with Tape() if tape is None else tape:
+        logits = model.forward(x, start=start)
         loss = loss_of(logits)
     value = loss.item()
     if not np.isfinite(value):

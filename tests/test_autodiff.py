@@ -266,6 +266,91 @@ class TestBackward:
             backward(loss)
 
 
+class TestTapeWalkedOncePerLoss:
+    """Heads recorded over one shared prefix, each walked from its own loss."""
+
+    SHIFTS = (0.0, 0.25)  # added to dense1.weight while a head runs, as a teacher does
+
+    def _targets(self, gen, n):
+        return [np.eye(3)[gen.integers(0, 3, n)] for _ in self.SHIFTS]
+
+    def _heads(self, model, x, targets, shared):
+        """Leaf-gradient bytes per head: each head shifts dense1.weight, runs
+        from conv1's pooled output (shared) or from the images on a tape of its
+        own, walks its loss and removes the shift."""
+        w = model.params.get("dense1.weight")
+        tape = Tape()
+        if shared:
+            with tape:
+                prefix = model.forward(Tensor(x), stop="dense1")
+        out = []
+        for shift, target in zip(self.SHIFTS, targets):
+            before = w.data.copy()
+            w.data += shift
+            with tape if shared else Tape():
+                logits = (model.forward(prefix, start="dense1") if shared
+                          else model.forward(Tensor(x)))
+                loss = softmax_cross_entropy(logits, Tensor(target))
+            grads = backward(loss)
+            w.data[...] = before
+            out.append([grads[e.tensor].tobytes() for e in model.params])
+        return out
+
+    def test_heads_over_a_shared_prefix_match_separate_tapes(self, tiny_conv_model, rng):
+        x = rng.uniform(-1.0, 1.0, (5, 1, 8, 8))
+        targets = self._targets(rng, 5)
+        separate = self._heads(tiny_conv_model, x, targets, shared=False)
+        assert self._heads(tiny_conv_model, x, targets, shared=True) == separate
+        assert separate[0] != separate[1]  # the heads really differ
+
+    def test_walking_a_loss_twice_still_raises(self, tiny_conv_model, rng):
+        with Tape() as tape:
+            prefix = tiny_conv_model.forward(Tensor(rng.uniform(size=(2, 1, 8, 8))), stop="dense1")
+            first = tiny_conv_model.forward(prefix, start="dense1").sum()
+        backward(first)
+        with tape:
+            second = tiny_conv_model.forward(prefix, start="dense1").sum()
+        backward(second)
+        for loss in (first, second):
+            with pytest.raises(TapeError, match="already ran"):
+                backward(loss)
+
+    def test_shared_graph_survives_its_second_walk_until_the_next_tape(self, tiny_conv_model, rng):
+        model = tiny_conv_model
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                prefix = model.forward(Tensor(rng.uniform(size=(2, 1, 8, 8))), stop="dense1")
+                first = model.forward(prefix, start="dense1").sum()
+            probe = weakref.ref(prefix.data)
+            backward(first)
+            with tape:
+                second = model.forward(prefix, start="dense1").sum()
+            del prefix
+            backward(second)
+            assert probe() is not None  # the second walk kept its own tape's graph
+            with Tape():
+                backward(model.forward(Tensor(rng.uniform(size=(2, 1, 8, 8)))).sum())
+            assert probe() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_a_head_recorded_on_a_released_tape_is_refused(self, rng):
+        w = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        with Tape() as tape:
+            hidden = mul(w, w)
+            first = hidden.sum()
+        backward(first)
+        with Tape():
+            backward(w.sum())  # releases the first tape's graph
+        with tape:
+            late = relu(hidden).sum()
+        with pytest.raises(TapeError, match="released"):
+            backward(late)
+
+
 class TestFiniteDifferenceAgreement:
     """Reverse-mode gradients vs the central-difference oracle, h = 1e-5."""
 

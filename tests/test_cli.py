@@ -111,8 +111,16 @@ def test_run_directory_records_its_environment(session):
         },
         # conftest.py pins one BLAS thread
         "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
-        "cpu_count": os.cpu_count(),
+        "cpu_count": len(os.sched_getaffinity(0)),
     }
+
+
+def test_cpu_count_is_the_cpus_the_process_may_run_on(monkeypatch):
+    # as under `taskset -c 0` on a 2-CPU host, where os.cpu_count() reads 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert environment()["cpu_count"] == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # an OS without affinity
+    assert environment()["cpu_count"] == os.cpu_count()
 
 
 def test_unset_thread_variable_is_recorded_as_null(monkeypatch):

@@ -125,6 +125,16 @@ def test_a_two_filter_kernel_gradient_stays_on_one_lane(worker, monkeypatch):
     assert worker.handed == 1  # the forward, split by images
 
 
+def test_a_kernel_gradient_too_narrow_to_release_the_gil_stays_on_one_lane(worker, monkeypatch):
+    # simple_cnn's conv1 (1 -> 32 channels): each lane's product would write
+    # 16 x 9 elements, under the GIL, so the lanes would run one after the other
+    n = 2 * math.ceil(autodiff._LANE_MIN_WORK / (8 * 8 * 32 * 9))
+    assert 16 * (n * 8 * 8 * 9) >= autodiff._LANE_MIN_WORK  # enough work to split
+    assert 16 * 9 <= autodiff._MATMUL_GIL_MAX_OUT
+    assert _conv(n, False, 1, 32) == _one_lane(monkeypatch, _conv, n, False, 1, 32)
+    assert worker.handed == 1  # the forward, split by images
+
+
 def _pool(x: np.ndarray) -> list[bytes]:
     g = np.random.default_rng(1).normal(size=(len(x), x.shape[1] // 2, x.shape[2] // 2, x.shape[3]))
     t = Tensor(x, requires_grad=True)

@@ -121,6 +121,31 @@ class TestForwardLogits:
         assert np.array_equal(a, b)
 
 
+class TestForwardSplit:
+    """A forward stopped before a layer and resumed there gives the whole
+    forward's bits, at every layer boundary."""
+
+    @pytest.mark.parametrize("build, shape", [
+        (lambda: build_simple_cnn((1, 8, 8), 5, seed=3), (3, 1, 8, 8)),
+        (lambda: build_tiny_mlp(16, [8, 6], 3, seed=3), (3, 1, 4, 4)),
+    ], ids=["cnn", "mlp"])
+    def test_split_at_each_layer_matches_the_whole_forward(self, build, shape, rng):
+        model = build()
+        x = Tensor(rng.uniform(0, 1, shape))
+        whole = model.forward(x).data.tobytes()
+        for layer in model.layers():
+            head = model.forward(model.forward(x, stop=layer), start=layer)
+            assert head.data.tobytes() == whole, layer
+
+    def test_layers_run_convs_then_denses(self):
+        model = build_simple_cnn((1, 8, 8), 5, seed=3)
+        assert model.layers() == ["conv1", "conv2", "conv3", "dense1", "dense2", "dense3"]
+
+    def test_unknown_layer_rejected(self, rng):
+        model = build_simple_cnn((1, 8, 8), 5, seed=3)
+        with pytest.raises(ValueError, match="'conv9'"):
+            model.forward(Tensor(rng.uniform(0, 1, (2, 1, 8, 8))), stop="conv9")
+
 class TestCheckpointRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
         model = build_simple_cnn((1, 8, 8), 4, seed=5)

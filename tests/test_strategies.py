@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import sadtlab.nn
+from sadtlab.autodiff import Tensor
 from sadtlab.data import MixedBatch, cutmix
 from sadtlab.nn import build_simple_cnn, build_tiny_mlp
 from sadtlab.optim import AdamState, adam_step, gradient_centralize
@@ -28,7 +30,7 @@ def small_batch(seed=0, n=6, classes=3, shape=(1, 8, 8)):
 def task_grads(model, batch):
     """The task gradient at the model's weights, as the step's first pass takes it."""
     task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
-    return _grad_pass(model, batch.images, task, "task")[2]
+    return _grad_pass(model, Tensor(batch.images), task, "task")[2]
 
 
 def mlp_and_batch(seed=0):
@@ -455,6 +457,25 @@ class TestStrategyDispatch:
             Strategy(strategy_id, **fields).step(model, batch, state, lr, noise_seed=noise_seed)
         assert snapshots_equal(model.params.snapshot(), before)
         assert state.t == 0
+
+    # a forward runs simple_cnn's 3 convs; sadt_v2's teachers share conv1-conv2
+    CONV_CALLS = {"baseline": 3, "gc": 3, "agc": 3, "sam": 6,
+                  "sadt_v1": 6, "sadt_v2": 7, "sadt_v3": 6}
+
+    @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
+    def test_conv_calls_per_step(self, strategy_id, monkeypatch):
+        calls = []
+        conv2d = sadtlab.nn.conv2d
+
+        def counted(x, kernel, *args):
+            calls.append(kernel.shape)
+            return conv2d(x, kernel, *args)
+
+        monkeypatch.setattr(sadtlab.nn, "conv2d", counted)
+        model = small_cnn(seed=20)
+        Strategy(strategy_id).step(model, small_batch(seed=21), AdamState(model.params), 0.0001,
+                                   noise_seed=np.random.SeedSequence(5))
+        assert len(calls) == self.CONV_CALLS[strategy_id]
 
     @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
     def test_reports_are_finite_with_nonnegative_kl(self, strategy_id):
