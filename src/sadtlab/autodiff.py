@@ -31,7 +31,9 @@ caller allocated, with the kernel the whole array would get, and each
 lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies
 it with the kernel it uses for the whole product. So one lane or two give
 the same bits.
-The bias gradient sums over the batch and stays on one lane.
+The bias gradient sums over the batch and stays on one lane. Off tape a conv
+keeps no whole-batch im2col columns: its lanes walk blocks of images of at
+least ``_LANE_MIN_WORK`` multiply-adds, so it has the recorded conv's bits.
 """
 
 from __future__ import annotations
@@ -149,13 +151,19 @@ def _tracked(t: Tensor, tape: Tape) -> bool:
     return t.requires_grad or (t.node is not None and t.node.tape is tape)
 
 
+def _recording(parents: tuple[Tensor, ...]) -> tuple[Tape, tuple[bool, ...]] | None:
+    """The tape that records an op over ``parents``, with which parents need a
+    gradient; None when no active tape tracks any of them."""
+    tape = _current_tape()
+    needs = () if tape is None else tuple(_tracked(p, tape) for p in parents)
+    return (tape, needs) if any(needs) else None
+
+
 def _apply(out_data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
-    tape = _current_tape()
-    if tape is not None:
-        needs = tuple(_tracked(p, tape) for p in parents)
-        if any(needs):
-            tape._record(out, parents, backward_fn, needs)
+    recording = _recording(parents)
+    if recording is not None:
+        recording[0]._record(out, parents, backward_fn, recording[1])
     return out
 
 
@@ -234,18 +242,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (
             _unbroadcast(g, a.data.shape) if needs[0] else None,
             _unbroadcast(g, b.data.shape) if needs[1] else None,
-        )
-
-    return _apply(out, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bw(g, needs):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if needs[0] else None,
-            _unbroadcast(g * a.data, b.data.shape) if needs[1] else None,
         )
 
     return _apply(out, (a, b), bw)
@@ -427,7 +423,8 @@ def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None]) -> None:
 # ---------------------------------------------------------------------------
 
 
-_COL2IM_BLOCK_BYTES = 1 << 20
+# im2col columns a kernel walks at a time: about what stays in one core's cache
+_BLOCK_BYTES = 1 << 20
 
 
 def _col2im_add(gp: np.ndarray, gcols: np.ndarray, k: int) -> None:
@@ -439,21 +436,13 @@ def _col2im_add(gp: np.ndarray, gcols: np.ndarray, k: int) -> None:
     # adds read gcols at a stride of k*k, so they run a few images at a time:
     # a block's ~1 MiB of gcols stays in cache for all k*k reads, where the
     # whole array would come from DRAM k*k times. Each cell's sum is unchanged.
-    block = max(1, _COL2IM_BLOCK_BYTES // (h * w * c * k * k * gcols.itemsize))
+    block = max(1, _BLOCK_BYTES // (h * w * c * k * k * gcols.itemsize))
     for start in range(0, n, block):
         gb = gwin[start : start + block]
         pb = gp[start : start + block]
         for i in range(k):
             for j in range(k):
                 pb[:, i : i + h, j : j + w, :] += gb[:, :, :, :, i, j]
-
-
-def _col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
-    n, h, w, c = xshape
-    pad = k // 2
-    gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    _col2im_add(gp, gcols, k)
-    return gp[:, pad : pad + h, pad : pad + w, :]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -465,6 +454,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     F x C x k x k with k odd; the input is zero-padded by k // 2 on each
     side ("same" padding), so the output keeps the input's H and W. bias
     (if given) has F entries and is added per output channel.
+
+    Off tape no whole-batch im2col columns exist: a lane runs blocks of about
+    ``_BLOCK_BYTES`` of columns and at least ``_LANE_MIN_WORK`` multiply-adds,
+    which round as the whole product does; a short tail joins the last block.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
@@ -477,42 +470,56 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (f,):
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
 
-    k, pad, hw = kh, kh // 2, h * w
-    wmat = kernel.data.reshape(f, c * k * k)
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    # one im2col row per output pixel, in (c, kh, kw) column order: that order
-    # fixes the matmuls' sum order
-    cols = np.empty((n * hw, c * k * k))
+    k, pad, hw, ckk = kh, kh // 2, h * w, c * kh * kw
+    wmat = kernel.data.reshape(f, ckk)
+    padded = (h + 2 * pad, w + 2 * pad, c)
     out = np.empty((n, h, w, f))
     out_rows = out.reshape(n * hw, f)
+    work = hw * f * ckk  # multiply-adds per image
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+
+    # a recorded conv's backward reads the whole batch's columns; off tape, each
+    # lane walks blocks of at least the lane floor through scratch of its own
+    recorded = _recording(parents) is not None
+    if recorded:
+        block, xp, cols = n, np.zeros((n, *padded)), np.empty((n * hw, ckk))
+    else:
+        block = max(-(-_LANE_MIN_WORK // work), _BLOCK_BYTES // (hw * ckk * out.itemsize))
 
     def forward(lo, hi):
-        rows = slice(lo * hw, hi * hw)
-        xp[lo:hi, pad : pad + h, pad : pad + w] = x.data[lo:hi]
-        win = np.lib.stride_tricks.sliding_window_view(xp[lo:hi], (k, k), axis=(1, 2))
-        cols[rows].reshape(win.shape)[...] = win  # one gathering copy
-        np.matmul(cols[rows], wmat.T, out=out_rows[rows])
-        if bias is not None:
-            out_rows[rows] += bias.data
+        starts = range(lo, max(lo + 1, hi - block + 1), block)
+        last = hi - starts[-1]  # the last block takes the tail: it is the largest
+        lane_xp = xp[lo:hi] if recorded else np.zeros((last, *padded))
+        lane_cols = cols[lo * hw : hi * hw] if recorded else np.empty((last * hw, ckk))
+        # one im2col row per output pixel, in (c, kh, kw) column order: that
+        # order fixes the matmuls' sum order
+        for start, stop in zip(starts, [*starts[1:], hi]):
+            m, rows = stop - start, out_rows[start * hw : stop * hw]
+            lane_xp[:m, pad : pad + h, pad : pad + w] = x.data[start:stop]
+            win = np.lib.stride_tricks.sliding_window_view(lane_xp[:m], (k, k), axis=(1, 2))
+            lane_cols[: m * hw].reshape(win.shape)[...] = win  # one gathering copy
+            np.matmul(lane_cols[: m * hw], wmat.T, out=rows)
+            if bias is not None:
+                rows += bias.data
 
-    _lanes(n, hw * f * c * k * k, forward)
+    _lanes(n, work, forward)
 
     def bw(g, needs):
         gm = g.reshape(-1, f)
         gk = gx = None
         if needs[1]:
             gk = np.empty(kernel.data.shape)
-            gk_rows = gk.reshape(f, c * k * k)
+            gk_rows = gk.reshape(f, ckk)
 
             def kernel_grad(lo, hi):
                 np.matmul(gm[:, lo:hi].T, cols, out=gk_rows[lo:hi])
 
-            if (f // 2) * c * k * k > _MATMUL_GIL_MAX_OUT:  # conv1's lanes write 16 x 9
-                _lanes(f, n * hw * c * k * k, kernel_grad)
+            if (f // 2) * ckk > _MATMUL_GIL_MAX_OUT:  # conv1's lanes write 16 x 9
+                _lanes(f, n * hw * ckk, kernel_grad)
             else:
                 kernel_grad(0, f)
         if needs[0]:
-            gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+            gp = np.zeros((n, *padded))
             gcols = np.empty(cols.shape)
 
             def input_grad(lo, hi):
@@ -520,7 +527,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                 np.matmul(gm[rows], wmat, out=gcols[rows])
                 _col2im_add(gp[lo:hi], gcols[rows], k)
 
-            _lanes(n, hw * f * c * k * k, input_grad)
+            _lanes(n, work, input_grad)
             gx = gp[:, pad : pad + h, pad : pad + w, :]
         if bias is None:
             return gx, gk
@@ -532,7 +539,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             gb = np.ascontiguousarray(per_pixel.T).sum(axis=1)
         return gx, gk, gb
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _apply(out, parents, bw)
 
 

@@ -89,9 +89,6 @@ class ParamSet:
     def entry(self, name: str) -> ParamEntry:
         return self._by_name[name]
 
-    def total_count(self) -> int:
-        return sum(e.tensor.size for e in self.entries)
-
     def layers(self, kind: str) -> list[str]:
         """Names of the layers whose weights are of ``kind`` ("conv" or
         "dense"), in parameter order."""

@@ -40,10 +40,6 @@ class GradSet:
         self._by_name = {name: arr for name, arr, _ in self.entries}
 
     @classmethod
-    def zeros_like(cls, params: ParamSet) -> "GradSet":
-        return cls([(e.name, np.zeros(e.tensor.shape), e.kind) for e in params.entries])
-
-    @classmethod
     def from_backward(cls, params: ParamSet, leaf_grads) -> "GradSet":
         """Collect each parameter's leaf gradient, uncopied (``backward`` returns
         fresh arrays); absent leaves get exact zeros."""

@@ -9,7 +9,40 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from sadtlab.autodiff import Tensor, _apply, _col2im_add, _unbroadcast
 from sadtlab.nn import Model, ParamSet
+from sadtlab.optim import GradSet
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product, a taped op: tests weight an output by a fixed
+    gradient with it."""
+    out = a.data * b.data
+
+    def bw(g, needs):
+        return (
+            _unbroadcast(g * b.data, a.data.shape) if needs[0] else None,
+            _unbroadcast(g * a.data, b.data.shape) if needs[1] else None,
+        )
+
+    return _apply(out, (a, b), bw)
+
+
+def col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
+    """The input gradient of a "same"-padded conv from its im2col gradient."""
+    n, h, w, c = xshape
+    pad = k // 2
+    gp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    _col2im_add(gp, gcols, k)
+    return gp[:, pad : pad + h, pad : pad + w, :]
+
+
+def total_count(params: ParamSet) -> int:
+    return sum(e.tensor.size for e in params.entries)
+
+
+def zero_grads(params: ParamSet) -> GradSet:
+    return GradSet([(e.name, np.zeros(e.tensor.shape), e.kind) for e in params.entries])
 
 
 def finite_diff_grads(loss_fn, params: ParamSet, h: float = 1e-5) -> dict[str, np.ndarray]:

@@ -18,13 +18,12 @@ from sadtlab.autodiff import (
     kl_divergence,
     matmul,
     max_pool2x2,
-    mul,
     relu,
     softmax_cross_entropy,
 )
 from sadtlab.optim import GradSet
 
-from conftest import finite_diff_grads, max_rel_err
+from conftest import finite_diff_grads, max_rel_err, mul
 
 
 class TestMatmul:

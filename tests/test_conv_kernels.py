@@ -2,8 +2,9 @@
 
 ``max_pool2x2`` backward routes each window's gradient to its earliest
 maximum in scan order, ``relu`` and ``max_pool2x2`` commute bit for bit
-(values and gradients), and ``_col2im`` sums each input cell's window
-contributions in (i, j) order from zero, whatever blocks it works in.
+(values and gradients), and ``col2im`` (``autodiff._col2im_add``) sums each
+input cell's window contributions in (i, j) order from zero, whatever blocks
+it works in.
 Arrays are compared by ``tobytes``, so the sign of a zero counts.
 """
 
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sadtlab.autodiff import Tape, Tensor, _col2im, backward, max_pool2x2, mul, relu
+from sadtlab.autodiff import Tape, Tensor, backward, max_pool2x2, relu
+
+from conftest import col2im, mul
 
 SCAN_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -147,4 +150,4 @@ class TestCol2im:
         gcols = gen.normal(size=(n * h * w, c * k * k))
         gcols[gen.random(gcols.shape) < 0.1] = -0.0
         expected = _naive_col2im(gcols, xshape, k)
-        assert _col2im(gcols, xshape, k).tobytes() == expected.tobytes()
+        assert col2im(gcols, xshape, k).tobytes() == expected.tobytes()

@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from sadtlab import autodiff
-from sadtlab.autodiff import Tape, Tensor, backward, conv2d, max_pool2x2, mul, relu
+from sadtlab.autodiff import Tape, Tensor, backward, conv2d, max_pool2x2, relu
+
+from conftest import mul
 
 # simple_cnn's conv layers as (input channels, output channels)
 LAYERS = ((1, 32), (32, 64), (64, 64))

@@ -11,6 +11,8 @@ from sadtlab.nn import (
     save_checkpoint,
 )
 
+from conftest import total_count
+
 # hand audit of the 3x32x32, 10-class instantiation:
 #   conv1 32*3*9+32=896, conv2 64*32*9+64=18496, conv3 64*64*9+64=36928
 #   flatten 64*4*4=1024 -> dense1 1024*256+256=262400,
@@ -21,7 +23,7 @@ SIMPLE_CNN_32_PARAMS = 896 + 18496 + 36928 + 262400 + 32896 + 1290  # = 352906
 class TestBuildSimpleCnn:
     def test_parameter_count_frozen(self):
         model = build_simple_cnn((3, 32, 32), 10, seed=0)
-        assert model.params.total_count() == SIMPLE_CNN_32_PARAMS == 352906
+        assert total_count(model.params) == SIMPLE_CNN_32_PARAMS == 352906
 
     def test_same_seed_is_bitwise_identical(self):
         a = build_simple_cnn((1, 28, 28), 10, seed=3)
@@ -59,7 +61,7 @@ class TestBuildSimpleCnn:
 class TestBuildTinyMlp:
     def test_parameter_count_formula(self):
         model = build_tiny_mlp(4, [8], 3, seed=0)
-        assert model.params.total_count() == 4 * 8 + 8 + 8 * 3 + 3 == 67
+        assert total_count(model.params) == 4 * 8 + 8 + 8 * 3 + 3 == 67
 
     def test_empty_hidden_dims_single_linear(self):
         model = build_tiny_mlp(6, [], 4, seed=0)

@@ -23,6 +23,8 @@ from sadtlab.optim import (
     subtract_noise,
 )
 
+from conftest import zero_grads
+
 
 def random_gradset(params: ParamSet, seed: int, scale: float = 1.0) -> GradSet:
     gen = np.random.default_rng(seed)
@@ -56,7 +58,7 @@ class TestAdamStep:
         model = build_tiny_mlp(3, [4], 2, seed=0)
         state = AdamState(model.params)
         before = model.params.snapshot()
-        adam_step(model.params, GradSet.zeros_like(model.params), state, lr=0.01)
+        adam_step(model.params, zero_grads(model.params), state, lr=0.01)
         assert state.t == 1
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name])
@@ -83,7 +85,7 @@ class TestAdamStep:
         model = build_tiny_mlp(3, [4], 2, seed=0)
         other = build_tiny_mlp(3, [5], 2, seed=0)
         with pytest.raises(AlignmentError):
-            adam_step(model.params, GradSet.zeros_like(other.params), AdamState(model.params), 0.01)
+            adam_step(model.params, zero_grads(other.params), AdamState(model.params), 0.01)
 
 
 class TestGradientCentralize:
@@ -232,7 +234,7 @@ class TestNoise:
 
     def test_param_filter_on_gradset_rejected(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
-        grads = GradSet.zeros_like(model.params)
+        grads = zero_grads(model.params)
         with pytest.raises(NoiseError):
             add_noise(grads, 0.0001, "all", np.random.default_rng(0))
 
@@ -304,7 +306,7 @@ class TestShiftParams:
 
     def test_gradset_target_rejected(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
-        grads = GradSet.zeros_like(model.params)
+        grads = zero_grads(model.params)
         with pytest.raises(NoiseError):
             shift_params(grads, self.ascent_shifts(model.params, 1))
 
@@ -313,7 +315,7 @@ class TestAggregateGradients:
     def test_additive_identity(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
         g = random_gradset(model.params, 0)
-        out = aggregate_gradients([g, GradSet.zeros_like(model.params)])
+        out = aggregate_gradients([g, zero_grads(model.params)])
         for name, arr, _ in out:
             assert np.array_equal(arr, g.get(name))
 
@@ -350,7 +352,7 @@ class TestAggregateGradients:
         a = build_tiny_mlp(3, [4], 2, seed=0)
         b = build_tiny_mlp(3, [5], 2, seed=0)
         with pytest.raises(AlignmentError):
-            aggregate_gradients([GradSet.zeros_like(a.params), GradSet.zeros_like(b.params)])
+            aggregate_gradients([zero_grads(a.params), zero_grads(b.params)])
 
 
 class TestGradSet:
