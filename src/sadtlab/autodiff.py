@@ -31,9 +31,9 @@ caller allocated, with the kernel the whole array would get, and each
 lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies
 it with the kernel it uses for the whole product. So one lane or two give
 the same bits.
-The bias gradient sums over the batch and stays on one lane. Off tape a conv
-keeps no whole-batch im2col columns: its lanes walk blocks of images of at
-least ``_LANE_MIN_WORK`` multiply-adds, so it has the recorded conv's bits.
+The bias gradient sums over the batch and stays on one lane. A conv lane
+walks its images in blocks of at least ``_LANE_MIN_WORK`` multiply-adds, forward
+and input gradient alike, so each block's product has the whole product's bits.
 """
 
 from __future__ import annotations
@@ -427,37 +427,38 @@ def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None]) -> None:
 _BLOCK_BYTES = 1 << 20
 
 
+def _blocks(lo: int, hi: int, block: int) -> tuple[list[tuple[int, int]], int]:
+    """``[lo, hi)`` as runs of ``block`` items, a short tail joining the last
+    run, and the length of that last, largest run."""
+    starts = range(lo, max(lo + 1, hi - block + 1), block)
+    return list(zip(starts, [*starts[1:], hi])), hi - starts[-1]
+
+
 def _col2im_add(gp: np.ndarray, gcols: np.ndarray, k: int) -> None:
-    """Add the windows of ``gcols`` into the zeroed, padded ``gp``."""
+    """Add the windows of ``gcols`` into the zeroed, padded ``gp``: overlapping
+    windows accumulate through k*k shifted adds, in a fixed order."""
     n, hp, wp, c = gp.shape
     h, w = hp - k + 1, wp - k + 1
     gwin = gcols.reshape(n, h, w, c, k, k)
-    # overlapping windows accumulate through k*k shifted adds, fixed order. The
-    # adds read gcols at a stride of k*k, so they run a few images at a time:
-    # a block's ~1 MiB of gcols stays in cache for all k*k reads, where the
-    # whole array would come from DRAM k*k times. Each cell's sum is unchanged.
-    block = max(1, _BLOCK_BYTES // (h * w * c * k * k * gcols.itemsize))
-    for start in range(0, n, block):
-        gb = gwin[start : start + block]
-        pb = gp[start : start + block]
-        for i in range(k):
-            for j in range(k):
-                pb[:, i : i + h, j : j + w, :] += gb[:, :, :, :, i, j]
+    for i in range(k):
+        for j in range(k):
+            gp[:, i : i + h, j : j + w, :] += gwin[:, :, :, :, i, j]
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """2-D cross-correlation (no kernel flip), stride 1, optional bias.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """2-D cross-correlation (no kernel flip), stride 1, plus a bias.
 
     Channels last: x is N x H x W x C and the output N x H x W x F, so the
     im2col matmul's rows are already the output's memory order and neither
     the output nor the incoming gradient is transposed. kernel is
     F x C x k x k with k odd; the input is zero-padded by k // 2 on each
-    side ("same" padding), so the output keeps the input's H and W. bias
-    (if given) has F entries and is added per output channel.
+    side ("same" padding), so the output keeps the input's H and W. bias has
+    F entries and is added per output channel.
 
-    Off tape no whole-batch im2col columns exist: a lane runs blocks of about
-    ``_BLOCK_BYTES`` of columns and at least ``_LANE_MIN_WORK`` multiply-adds,
-    which round as the whole product does; a short tail joins the last block.
+    The forward and the input gradient walk the same blocks of images, each of
+    about ``_BLOCK_BYTES`` of im2col columns and at least ``_LANE_MIN_WORK``
+    multiply-adds, so they round as the whole product does; a short tail joins
+    the last. Only the whole-batch columns the kernel gradient reads are kept.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
@@ -467,7 +468,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape}, kernel {kernel.shape}")
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d needs an odd, square kernel, got {kh}x{kw}")
-    if bias is not None and bias.shape != (f,):
+    if bias.shape != (f,):
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
 
     k, pad, hw, ckk = kh, kh // 2, h * w, c * kh * kw
@@ -476,37 +477,31 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     out = np.empty((n, h, w, f))
     out_rows = out.reshape(n * hw, f)
     work = hw * f * ckk  # multiply-adds per image
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-
-    # a recorded conv's backward reads the whole batch's columns; off tape, each
-    # lane walks blocks of at least the lane floor through scratch of its own
-    recorded = _recording(parents) is not None
-    if recorded:
-        block, xp, cols = n, np.zeros((n, *padded)), np.empty((n * hw, ckk))
-    else:
-        block = max(-(-_LANE_MIN_WORK // work), _BLOCK_BYTES // (hw * ckk * out.itemsize))
+    block = max(-(-_LANE_MIN_WORK // work), _BLOCK_BYTES // (hw * ckk * out.itemsize))
+    parents = (x, kernel, bias)
+    recording = _recording(parents)
+    cols = np.empty((n * hw, ckk)) if recording is not None and recording[1][1] else None
 
     def forward(lo, hi):
-        starts = range(lo, max(lo + 1, hi - block + 1), block)
-        last = hi - starts[-1]  # the last block takes the tail: it is the largest
-        lane_xp = xp[lo:hi] if recorded else np.zeros((last, *padded))
-        lane_cols = cols[lo * hw : hi * hw] if recorded else np.empty((last * hw, ckk))
+        blocks, most = _blocks(lo, hi, block)
+        xp = np.zeros((most, *padded))
+        scratch = np.empty((most * hw, ckk)) if cols is None else None
         # one im2col row per output pixel, in (c, kh, kw) column order: that
         # order fixes the matmuls' sum order
-        for start, stop in zip(starts, [*starts[1:], hi]):
-            m, rows = stop - start, out_rows[start * hw : stop * hw]
-            lane_xp[:m, pad : pad + h, pad : pad + w] = x.data[start:stop]
-            win = np.lib.stride_tricks.sliding_window_view(lane_xp[:m], (k, k), axis=(1, 2))
-            lane_cols[: m * hw].reshape(win.shape)[...] = win  # one gathering copy
-            np.matmul(lane_cols[: m * hw], wmat.T, out=rows)
-            if bias is not None:
-                rows += bias.data
+        for start, stop in blocks:
+            m, rows = stop - start, slice(start * hw, stop * hw)
+            xp[:m, pad : pad + h, pad : pad + w] = x.data[start:stop]
+            win = np.lib.stride_tricks.sliding_window_view(xp[:m], (k, k), axis=(1, 2))
+            block_cols = scratch[: m * hw] if cols is None else cols[rows]
+            block_cols.reshape(win.shape)[...] = win  # one gathering copy
+            np.matmul(block_cols, wmat.T, out=out_rows[rows])
+            out_rows[rows] += bias.data
 
     _lanes(n, work, forward)
 
     def bw(g, needs):
         gm = g.reshape(-1, f)
-        gk = gx = None
+        gx = gk = gb = None
         if needs[1]:
             gk = np.empty(kernel.data.shape)
             gk_rows = gk.reshape(f, ckk)
@@ -520,18 +515,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                 kernel_grad(0, f)
         if needs[0]:
             gp = np.zeros((n, *padded))
-            gcols = np.empty(cols.shape)
 
             def input_grad(lo, hi):
-                rows = slice(lo * hw, hi * hw)
-                np.matmul(gm[rows], wmat, out=gcols[rows])
-                _col2im_add(gp[lo:hi], gcols[rows], k)
+                # each block's column gradient is added into gp while in cache
+                blocks, most = _blocks(lo, hi, block)
+                gcols = np.empty((most * hw, ckk))
+                for start, stop in blocks:
+                    block_gcols = gcols[: (stop - start) * hw]
+                    np.matmul(gm[start * hw : stop * hw], wmat, out=block_gcols)
+                    _col2im_add(gp[start:stop], block_gcols, k)
 
             _lanes(n, work, input_grad)
             gx = gp[:, pad : pad + h, pad : pad + w, :]
-        if bias is None:
-            return gx, gk
-        gb = None
         if needs[2]:
             # batch first, then a pairwise sum over each channel's contiguous
             # h*w values; the golden fixture pins this summation order

@@ -131,17 +131,19 @@ class Strategy:
         if self.id not in PRESETS:
             raise ValueError(f"unknown strategy id {self.id!r} (choose from {STRATEGY_IDS})")
         transform, sam, teachers = PRESETS[self.id]  # check only what this preset reads
-        if transform == "agc" and not self.agc_lambda > 0:
-            raise ValueError(f"agc_lambda must be positive, got {self.agc_lambda}")
-        if sam and not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if any(f in PARAM_FILTERS for f in teachers) and not self.sigma_w >= 0:
-            raise ValueError(f"sigma_w must be >= 0, got {self.sigma_w}")
-        if "gradient-all" in teachers:
-            if not self.sigma_g >= 0:
-                raise ValueError(f"sigma_g must be >= 0, got {self.sigma_g}")
-            if self.ascent_lr is not None and not self.ascent_lr >= 0:
-                raise ValueError(f"ascent_lr must be >= 0, got {self.ascent_lr}")
+        noisy, ascent = any(f in PARAM_FILTERS for f in teachers), "gradient-all" in teachers
+        for name, read, positive in (
+            ("agc_lambda", transform == "agc", True),
+            ("rho", sam, True),
+            ("sigma_w", noisy, False),
+            ("sigma_g", ascent, False),
+            ("ascent_lr", ascent and self.ascent_lr is not None, False),  # None: the lr
+        ):
+            value = getattr(self, name)
+            if read and not (value > 0 if positive else value >= 0):
+                raise ValueError(f"{name} must be {'positive' if positive else '>= 0'}, got {value}")
+            if read and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def step(
         self,

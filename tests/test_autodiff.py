@@ -51,13 +51,13 @@ class TestConv2d:
     def test_one_by_one_identity_kernel(self, rng):
         x = Tensor(rng.normal(size=(2, 5, 5, 1)))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        out = conv2d(x, k)
+        out = conv2d(x, k, Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x.data)
 
     def test_all_ones_kernel_sums_window(self):
         x = Tensor(np.ones((1, 4, 4, 1)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = conv2d(x, k)
+        out = conv2d(x, k, Tensor(np.zeros(1)))
         # each output cell counts the in-bounds cells of its zero-padded 3x3 window
         window_sums = [[4, 6, 6, 4], [6, 9, 9, 6], [6, 9, 9, 6], [4, 6, 6, 4]]
         assert out.shape == (1, 4, 4, 1)
@@ -67,7 +67,7 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 6, 6, 1)))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = conv2d(x, Tensor(k))
+        out = conv2d(x, Tensor(k), Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x.data)
 
     def test_even_or_non_square_kernel_rejected(self):
@@ -75,13 +75,13 @@ class TestConv2d:
         for kh, kw in [(2, 2), (4, 4), (3, 1), (1, 3), (3, 5)]:
             k = Tensor(np.zeros((1, 1, kh, kw)))
             with pytest.raises(ShapeError, match=f"odd, square kernel, got {kh}x{kw}"):
-                conv2d(x, k)
+                conv2d(x, k, Tensor(np.zeros(1)))
 
     def test_output_extent_formula(self, rng):
         x = Tensor(rng.normal(size=(1, 9, 7, 2)))
         for size in (1, 3, 5):  # "same" padding keeps H and W
             k = Tensor(rng.normal(size=(3, 2, size, size)))
-            assert conv2d(x, k).shape == (1, 9, 7, 3)
+            assert conv2d(x, k, Tensor(np.zeros(3))).shape == (1, 9, 7, 3)
 
     def test_bias_added_per_output_channel(self, rng):
         x = Tensor(rng.normal(size=(2, 4, 4, 2)))
@@ -430,7 +430,8 @@ class TestFiniteDifferenceAgreement:
         x = rng.uniform(-1.0, 1.0, (2, 6, 6, 1))
 
         def loss_fn():
-            return max_pool2x2(conv2d(Tensor(x), params.get("conv1.weight"))).sum()
+            conv = conv2d(Tensor(x), params.get("conv1.weight"), Tensor(np.zeros(2)))
+            return max_pool2x2(conv).sum()
 
         self._check(params, loss_fn)
 

@@ -214,17 +214,32 @@ class TestRejections:
             (IDX + "[strategy]\nid = sadt_v2\nsigma_w = -0.1\n", "sigma_w must be >= 0"),
             (IDX + "[strategy]\nid = sadt_v3\nsigma_g = -0.1\n", "sigma_g must be >= 0"),
             (IDX + "[strategy]\nid = sadt_v3\nascent_lr = -0.1\n", "ascent_lr must be >= 0"),
+            (IDX + "[strategy]\nid = agc\nagc_lambda = inf\n", "agc_lambda must be finite, got inf"),
+            (IDX + "[strategy]\nid = sam\nrho = inf\n", "rho must be finite, got inf"),
+            (IDX + "[strategy]\nid = sadt_v1\nsigma_w = inf\n", "sigma_w must be finite, got inf"),
+            (IDX + "[strategy]\nid = sadt_v3\nsigma_g = inf\n", "sigma_g must be finite, got inf"),
+            (IDX + "[strategy]\nid = sadt_v3\nascent_lr = inf\n", "ascent_lr must be finite, got inf"),
         ],
         ids=[
             "strategy-id", "arch", "format", "idx-paths", "cifar-files", "epochs",
             "probe-every", "batch-size", "probe-batches", "mlp-sadt-v2",
             "agc-lambda", "sam-rho-zero", "sam-rho-nan", "v1-sigma-w", "v2-sigma-w", "v3-sigma-g",
-            "v3-ascent-lr",
+            "v3-ascent-lr", "agc-lambda-inf", "sam-rho-inf", "v1-sigma-w-inf", "v3-sigma-g-inf",
+            "v3-ascent-lr-inf",
         ],
     )
     def test_invalid_config_rejected(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):
             parse(tmp_path, text)
+
+    def test_cli_rejects_an_infinite_hyperparameter_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(IDX + "[strategy]\nid = sam\nrho = inf\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "sadtlab: error: rho must be finite, got inf\n")
+        assert not out.exists()
 
     def test_hyperparameters_a_preset_ignores_are_not_checked(self, tmp_path):
         text = IDX + "[strategy]\nid = baseline\nrho = 0\nsigma_w = -1\nsigma_g = -1\nagc_lambda = 0\n"

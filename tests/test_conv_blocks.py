@@ -1,8 +1,11 @@
-"""Off-tape convolutions: a block of images at a time, with the taped conv's bits.
+"""Every conv walks its images a block at a time, with a whole-batch product's bits.
 
-A ``conv2d`` that no tape records keeps no whole-batch im2col columns: each
-lane walks its images in blocks of at least the lane floor. Each case compares
-an off-tape output by ``tobytes`` with the recorded conv's, once with a lane
+``conv2d``'s forward and input gradient walk each lane's images in blocks of
+at least the lane floor, recorded or not. A recorded conv's output, kernel
+gradient and x-gradient are compared by ``tobytes`` with plain numpy on the
+whole batch: one im2col product plus the bias, one kernel-gradient product,
+and one column-gradient product through ``conftest.col2im``. An off-tape
+output is compared with the recorded one. Each case runs once with a lane
 worker (made even on a one-CPU machine) and once with ``autodiff._WORKER``
 off, where one lane walks every block.
 """
@@ -17,7 +20,7 @@ from sadtlab import autodiff
 from sadtlab.autodiff import Tape, Tensor, backward, conv2d
 from sadtlab.nn import build_simple_cnn
 
-from conftest import mul
+from conftest import col2im, mul
 
 # simple_cnn's conv layers as (input channels, output channels), and the side
 # each one sees in a model whose input side is 8, 16 or 28
@@ -69,6 +72,57 @@ def test_off_tape_forward_matches_the_taped_one(lanes, side, c, f, n):
     assert off_tape.data.tobytes() == taped.data.tobytes()
 
 
+def _whole_batch_cols(x: np.ndarray, k: int) -> np.ndarray:
+    """The whole batch's im2col columns: one row per output pixel, in
+    (c, kh, kw) column order."""
+    n, h, w, c = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2)).reshape(n * h * w, -1)
+
+
+class _CountingNumpy:
+    """numpy as ``autodiff`` sees it, noting each matmul's multiply-adds."""
+
+    def __init__(self):
+        self.products: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.products.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return np.matmul(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("side, c, f, n", CASES,
+                         ids=[f"{s}x{s}-{c}to{f}-n{n}" for s, c, f, n in CASES])
+def test_a_recorded_conv_matches_whole_batch_products(lanes, monkeypatch, side, c, f, n):
+    x, kernel, bias = _operands(n, side, c, f)
+    x.requires_grad = True
+    weights = np.random.default_rng(n).normal(size=(n, side, side, f))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(autodiff, "np", counting)
+    with Tape():
+        out = conv2d(x, kernel, bias)
+        loss = mul(out, Tensor(weights)).sum()
+    grads = backward(loss)
+    monkeypatch.setattr(autodiff, "np", np)
+    # every block's product holds the lane floor, unless it is the whole product
+    whole = n * side * side * f * c * 9
+    assert counting.products
+    assert all(p == whole or p >= autodiff._LANE_MIN_WORK for p in counting.products)
+    gm, wmat = weights.reshape(-1, f), kernel.data.reshape(f, -1)
+    cols = _whole_batch_cols(x.data, 3)
+    expected = cols @ wmat.T
+    expected += bias.data
+    assert out.data.tobytes() == expected.tobytes()
+    assert grads[kernel].tobytes() == (gm.T @ cols).tobytes()
+    del cols, expected
+    gx = col2im(gm @ wmat, x.shape, 3)
+    assert np.ascontiguousarray(grads[x]).tobytes() == np.ascontiguousarray(gx).tobytes()
+
+
 def _x_only(n: int, side: int, c: int, f: int, track_params: bool) -> list[bytes]:
     """A conv under a tape that tracks x (and the kernel and bias only if
     ``track_params``): its output and the gradient of x."""
@@ -111,6 +165,20 @@ def test_a_tape_tracking_no_parent_walks_blocks_and_records_nothing(lanes):
     kernel.requires_grad = True
     with Tape():
         assert conv2d(x, kernel, bias).data.tobytes() == out.data.tobytes()
+
+
+def test_a_recorded_conv_backward_keeps_no_whole_batch_column_gradient(lanes):
+    # 14x14, 32 -> 64: two images a block; the whole batch's column gradient
+    # would be 28 MiB against gp's 4 MiB
+    x, kernel, bias = _operands(64, 14, 32, 64)
+    x.requires_grad = True
+    with Tape():
+        out = conv2d(x, kernel, bias)
+    g = np.random.default_rng(0).normal(size=out.shape)
+    peak = _traced_peak(lambda: out.node.backward_fn(g, out.node.needs))
+    gp_bytes = 64 * 16 * 16 * 32 * 8
+    gcols_bytes = 64 * 14 * 14 * 32 * 9 * 8
+    assert peak < gp_bytes + gcols_bytes / 4
 
 
 def test_an_off_tape_simple_cnn_forward_keeps_no_whole_batch_columns(lanes):

@@ -3,8 +3,8 @@
 ``max_pool2x2`` backward routes each window's gradient to its earliest
 maximum in scan order, ``relu`` and ``max_pool2x2`` commute bit for bit
 (values and gradients), and ``col2im`` (``autodiff._col2im_add``) sums each
-input cell's window contributions in (i, j) order from zero, whatever blocks
-it works in.
+input cell's window contributions in (i, j) order from zero, over whatever
+images it is handed: ``conv2d`` hands it one block of images at a time.
 Arrays are compared by ``tobytes``, so the sign of a zero counts.
 """
 
@@ -136,9 +136,9 @@ class TestCol2im:
     @pytest.mark.parametrize(
         "xshape, k",
         [
-            # ~1 MiB of gcols per block: 7 + 7 + 2 images
+            # 16 images of conv2's input in an 8x8 model
             ((16, 8, 8, 32), 3),
-            # one image's gcols alone exceed 1 MiB: one image per block
+            # one image's gcols alone exceed 1 MiB: conv2d hands these over one at a time
             ((3, 28, 28, 32), 3),
             ((2, 5, 7, 3), 1),
             ((3, 6, 5, 2), 5),

@@ -115,7 +115,7 @@ def test_forward_splits_from_the_threshold_and_matches_one_lane(worker, monkeypa
                                                                  needs_x):
     gen = np.random.default_rng(0)
     x = Tensor(gen.normal(size=(n, 8, 8, 32)))
-    conv2d(x, Tensor(gen.normal(size=(64, 32, 3, 3))))
+    conv2d(x, Tensor(gen.normal(size=(64, 32, 3, 3))), Tensor(gen.normal(size=64)))
     assert worker.handed == int(splits)
     assert _conv(n, needs_x) == _one_lane(monkeypatch, _conv, n, needs_x)
 
