@@ -7,10 +7,17 @@ append order, each at most once, and a second walk from the same loss
 raises. So several heads can share one recorded prefix: each head's loss is
 walked on its own, and the nodes of another head, which hold no gradient
 from this loss, are skipped. A walked tape's graph (each node's parents and
-backward function, and with them the pass's activations and im2col columns)
-is released at the next :func:`backward` of another tape on the same thread,
-so reference counting frees it; the most recently walked tape's graph stays
-alive until then, however often it is walked. ``tape.nodes`` itself is kept.
+backward function, and with them the pass's activations) is released at the
+next :func:`backward` of another tape on the same thread, so reference
+counting frees it; the most recently walked tape's graph stays alive until
+then, however often it is walked. ``tape.nodes`` itself is kept.
+
+Each ``with tape:`` block is a recording session. A walk treats the nodes of
+its loss's own session as walked by no other loss: a recorded conv there
+drops its im2col columns, its largest buffer, as soon as its kernel gradient
+is computed. A conv of an earlier session, such as a prefix that several
+heads share, keeps them until its graph is released. A conv walked again
+after the drop gathers them again from its input, with the same bytes.
 
 Image tensors are channels last (N x H x W x C) throughout the convolution
 and pooling ops: the im2col matmul produces its rows in that order, so a
@@ -38,6 +45,7 @@ and input gradient alike, so each block's product has the whole product's bits.
 
 from __future__ import annotations
 
+import bisect
 import os
 import queue
 import threading
@@ -125,15 +133,18 @@ class Tape:
 
     Used as a context manager; nested tapes are allowed and the innermost
     one records. A tape may be entered again to record a further head onto
-    it. Single-threaded by construction (thread-local stack).
+    it; each entry starts a recording session at the current node count
+    (``starts``). Single-threaded by construction (thread-local stack).
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.starts: list[int] = []  # the first node index of each recording session
         self.walked: set[int] = set()  # node indices of the losses walked so far
         self.released = False
 
     def __enter__(self) -> "Tape":
+        self.starts.append(len(self.nodes))
         _tape_stack().append(self)
         return self
 
@@ -172,8 +183,11 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns gradients for every leaf tensor (``requires_grad=True``) reached
     from the loss. Leaves not on any path to the loss are simply absent.
-    Afterwards, unless the loss is on the tape walked last, it releases that
-    tape's graph; this tape's graph is released by the next walk of another.
+    During the walk, the nodes recorded in the loss's own session free what
+    only this walk reads (a conv's im2col columns); nodes of earlier sessions
+    keep it for the losses of later ones. Afterwards, unless the loss is on
+    the tape walked last, it releases that tape's graph; this tape's graph is
+    released by the next walk of another.
     """
     if loss.node is None:
         raise TapeError("loss is not recorded on any tape")
@@ -188,22 +202,27 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     grads_by_node: dict[int, np.ndarray] = {loss.node.index: np.ones((), dtype=np.float64)}
     leaf_grads: dict[Tensor, np.ndarray] = {}
-    for idx in range(loss.node.index, -1, -1):
-        grad = grads_by_node.pop(idx, None)
-        if grad is None:
-            continue
-        node = tape.nodes[idx]
-        parent_grads = node.backward_fn(grad, node.needs)
-        for parent, pgrad in zip(node.parents, parent_grads):
-            if pgrad is None:
+    # the loss's own session: no other loss walks the nodes recorded in it
+    _ACTIVE.session_start = tape.starts[bisect.bisect_right(tape.starts, loss.node.index) - 1]
+    try:
+        for idx in range(loss.node.index, -1, -1):
+            grad = grads_by_node.pop(idx, None)
+            if grad is None:
                 continue
-            if parent.node is not None and parent.node.tape is tape:
-                j = parent.node.index
-                held = grads_by_node.get(j)
-                grads_by_node[j] = pgrad if held is None else held + pgrad
-            elif parent.requires_grad:
-                held = leaf_grads.get(parent)
-                leaf_grads[parent] = np.array(pgrad) if held is None else held + pgrad
+            node = tape.nodes[idx]
+            parent_grads = node.backward_fn(grad, node.needs)
+            for parent, pgrad in zip(node.parents, parent_grads):
+                if pgrad is None:
+                    continue
+                if parent.node is not None and parent.node.tape is tape:
+                    j = parent.node.index
+                    held = grads_by_node.get(j)
+                    grads_by_node[j] = pgrad if held is None else held + pgrad
+                elif parent.requires_grad:
+                    held = leaf_grads.get(parent)
+                    leaf_grads[parent] = np.array(pgrad) if held is None else held + pgrad
+    finally:
+        _ACTIVE.session_start = None
     # One tape behind, not this one: a whole pass freed at once goes back to the
     # OS and the next pass faults it in again. The older graph freed here sits
     # below the newer pass's buffers in the heap and is reused warm (28x28,
@@ -216,6 +235,13 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         previous.released = True
     _ACTIVE.walked = tape
     return leaf_grads
+
+
+def _walked_alone(index: int) -> bool:
+    """Whether the node at ``index`` belongs to the session of the loss being
+    walked, so that no other loss walks it; False outside :func:`backward`."""
+    start = getattr(_ACTIVE, "session_start", None)
+    return start is not None and index >= start
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +460,30 @@ def _blocks(lo: int, hi: int, block: int) -> tuple[list[tuple[int, int]], int]:
     return list(zip(starts, [*starts[1:], hi])), hi - starts[-1]
 
 
+def _im2col_blocks(x: np.ndarray, k: int, lo: int, hi: int, block: int,
+                   cols: np.ndarray | None):
+    """Gather the im2col columns of images ``[lo, hi)`` of ``x`` a block at a
+    time, yielding ``(start, stop, block_cols)`` per block.
+
+    One row per output pixel, in (c, kh, kw) column order: that order fixes
+    the conv matmuls' sum order. A block's columns go to its rows of ``cols``
+    or, without it, to scratch that the next block overwrites. The zero
+    padding is scratch too.
+    """
+    blocks, most = _blocks(lo, hi, block)
+    _, h, w, c = x.shape
+    pad, hw = k // 2, h * w
+    xp = np.zeros((most, h + 2 * pad, w + 2 * pad, c))
+    scratch = np.empty((most * hw, c * k * k)) if cols is None else None
+    for start, stop in blocks:
+        m = stop - start
+        xp[:m, pad : pad + h, pad : pad + w] = x[start:stop]
+        win = np.lib.stride_tricks.sliding_window_view(xp[:m], (k, k), axis=(1, 2))
+        block_cols = scratch[: m * hw] if cols is None else cols[start * hw : stop * hw]
+        block_cols.reshape(win.shape)[...] = win  # one gathering copy
+        yield start, stop, block_cols
+
+
 def _col2im_add(gp: np.ndarray, gcols: np.ndarray, k: int) -> None:
     """Add the windows of ``gcols`` into the zeroed, padded ``gp``: overlapping
     windows accumulate through k*k shifted adds, in a fixed order."""
@@ -458,7 +508,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     The forward and the input gradient walk the same blocks of images, each of
     about ``_BLOCK_BYTES`` of im2col columns and at least ``_LANE_MIN_WORK``
     multiply-adds, so they round as the whole product does; a short tail joins
-    the last. Only the whole-batch columns the kernel gradient reads are kept.
+    the last. Whole-batch columns are written only when the kernel gradient
+    will read them, and a walk from the conv's own recording session drops
+    them once it has; a later walk gathers them again with the same blocks.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
@@ -480,29 +532,31 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     block = max(-(-_LANE_MIN_WORK // work), _BLOCK_BYTES // (hw * ckk * out.itemsize))
     parents = (x, kernel, bias)
     recording = _recording(parents)
-    cols = np.empty((n * hw, ckk)) if recording is not None and recording[1][1] else None
+    keep = recording is not None and recording[1][1]  # the kernel gradient reads cols
+    cols = np.empty((n * hw, ckk)) if keep else None
+    index = len(recording[0].nodes) if keep else -1  # the node _apply records
 
     def forward(lo, hi):
-        blocks, most = _blocks(lo, hi, block)
-        xp = np.zeros((most, *padded))
-        scratch = np.empty((most * hw, ckk)) if cols is None else None
-        # one im2col row per output pixel, in (c, kh, kw) column order: that
-        # order fixes the matmuls' sum order
-        for start, stop in blocks:
-            m, rows = stop - start, slice(start * hw, stop * hw)
-            xp[:m, pad : pad + h, pad : pad + w] = x.data[start:stop]
-            win = np.lib.stride_tricks.sliding_window_view(xp[:m], (k, k), axis=(1, 2))
-            block_cols = scratch[: m * hw] if cols is None else cols[rows]
-            block_cols.reshape(win.shape)[...] = win  # one gathering copy
-            np.matmul(block_cols, wmat.T, out=out_rows[rows])
-            out_rows[rows] += bias.data
+        for start, stop, block_cols in _im2col_blocks(x.data, k, lo, hi, block, cols):
+            rows = out_rows[start * hw : stop * hw]
+            np.matmul(block_cols, wmat.T, out=rows)
+            rows += bias.data
 
     _lanes(n, work, forward)
 
     def bw(g, needs):
+        nonlocal cols
         gm = g.reshape(-1, f)
         gx = gk = gb = None
         if needs[1]:
+            if cols is None:  # dropped by an earlier walk: gather the same bytes again
+                cols = np.empty((n * hw, ckk))
+
+                def regather(lo, hi):
+                    for _ in _im2col_blocks(x.data, k, lo, hi, block, cols):
+                        pass
+
+                _lanes(n, work, regather)
             gk = np.empty(kernel.data.shape)
             gk_rows = gk.reshape(f, ckk)
 
@@ -513,6 +567,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 _lanes(f, n * hw * ckk, kernel_grad)
             else:
                 kernel_grad(0, f)
+            if _walked_alone(index):  # no other loss reads them: free them now
+                cols = None
         if needs[0]:
             gp = np.zeros((n, *padded))
 

@@ -207,7 +207,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
             )
 
     eval_pair(0, 0)
-    initial_logits = probe_logits(model, sharp_batches) if opts.probe_every else []
+    # only a run that probes at some epoch compares with the initial logits
+    initial_logits = probe_logits(model, sharp_batches) if 0 < opts.probe_every <= epochs else []
     step = 0
     try:
         for epoch in range(1, epochs + 1):

@@ -156,7 +156,7 @@ def test_run_divergence_matches_two_model_forwards(probe_config, monkeypatch):
     assert len(set(got)) == EPOCHS  # the weights moved between probes
 
 
-@pytest.mark.parametrize("probe_every", [1, 0])
+@pytest.mark.parametrize("probe_every", [1, 0, EPOCHS + 1])  # the last: no epoch reaches it
 def test_each_probe_batch_costs_two_forwards_per_probe(probe_config, monkeypatch, probe_every):
     probe_config.train.probe_every = probe_every
     forwards = {"estimate_sharpness": [], "model_divergence": [], "probe_logits": []}
@@ -182,9 +182,9 @@ def test_each_probe_batch_costs_two_forwards_per_probe(probe_config, monkeypatch
     for name in forwards:
         monkeypatch.setattr(harness, name, counting(name))
     harness.run_experiment(probe_config)
-    probes = EPOCHS if probe_every else 0
+    probes = EPOCHS // probe_every if probe_every else 0
     assert forwards == {
         "estimate_sharpness": [2 * PROBE_BATCHES] * probes,  # at w and at the ascent point
         "model_divergence": [0] * probes,
-        "probe_logits": [PROBE_BATCHES] if probe_every else [],  # the initial model, once
+        "probe_logits": [PROBE_BATCHES] if probes else [],  # the initial model, once
     }
