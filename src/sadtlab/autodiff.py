@@ -12,12 +12,12 @@ next :func:`backward` of another tape on the same thread, so reference
 counting frees it; the most recently walked tape's graph stays alive until
 then, however often it is walked. ``tape.nodes`` itself is kept.
 
-Each ``with tape:`` block is a recording session. A walk treats the nodes of
-its loss's own session as walked by no other loss: a recorded conv there
-drops its im2col columns, its largest buffer, as soon as its kernel gradient
-is computed. A conv of an earlier session, such as a prefix that several
-heads share, keeps them until its graph is released. A conv walked again
-after the drop gathers them again from its input, with the same bytes.
+Each ``with tape:`` block is a recording session. One rule frees a recorded
+conv's im2col columns, its largest buffer: a conv recorded in its tape's
+latest session drops them as soon as its kernel gradient is computed; a conv
+of an earlier session, such as a prefix that several heads share, keeps them
+until its graph is released. A conv walked again after the drop gathers them
+again from its input, with the same bytes.
 
 Image tensors are channels last (N x H x W x C) throughout the convolution
 and pooling ops: the im2col matmul produces its rows in that order, so a
@@ -45,7 +45,6 @@ and input gradient alike, so each block's product has the whole product's bits.
 
 from __future__ import annotations
 
-import bisect
 import os
 import queue
 import threading
@@ -133,18 +132,21 @@ class Tape:
 
     Used as a context manager; nested tapes are allowed and the innermost
     one records. A tape may be entered again to record a further head onto
-    it; each entry starts a recording session at the current node count
-    (``starts``). Single-threaded by construction (thread-local stack).
+    it; each entry starts a recording session at the current node count, and
+    ``session`` holds the latest one's first node index. No later session
+    has recorded a loss over the nodes from there on, so a conv among them
+    frees its columns when walked. Single-threaded by construction
+    (thread-local stack).
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.starts: list[int] = []  # the first node index of each recording session
+        self.session = 0  # the first node index of the latest recording session
         self.walked: set[int] = set()  # node indices of the losses walked so far
         self.released = False
 
     def __enter__(self) -> "Tape":
-        self.starts.append(len(self.nodes))
+        self.session = len(self.nodes)
         _tape_stack().append(self)
         return self
 
@@ -183,11 +185,11 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns gradients for every leaf tensor (``requires_grad=True``) reached
     from the loss. Leaves not on any path to the loss are simply absent.
-    During the walk, the nodes recorded in the loss's own session free what
-    only this walk reads (a conv's im2col columns); nodes of earlier sessions
-    keep it for the losses of later ones. Afterwards, unless the loss is on
-    the tape walked last, it releases that tape's graph; this tape's graph is
-    released by the next walk of another.
+    During the walk, a conv of the tape's latest recording session frees its
+    im2col columns once its kernel gradient is computed; a conv of an earlier
+    session keeps them for the losses of later ones. Afterwards, unless the
+    loss is on the tape walked last, it releases that tape's graph; this
+    tape's graph is released by the next walk of another.
     """
     if loss.node is None:
         raise TapeError("loss is not recorded on any tape")
@@ -202,27 +204,22 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     grads_by_node: dict[int, np.ndarray] = {loss.node.index: np.ones((), dtype=np.float64)}
     leaf_grads: dict[Tensor, np.ndarray] = {}
-    # the loss's own session: no other loss walks the nodes recorded in it
-    _ACTIVE.session_start = tape.starts[bisect.bisect_right(tape.starts, loss.node.index) - 1]
-    try:
-        for idx in range(loss.node.index, -1, -1):
-            grad = grads_by_node.pop(idx, None)
-            if grad is None:
+    for idx in range(loss.node.index, -1, -1):
+        grad = grads_by_node.pop(idx, None)
+        if grad is None:
+            continue
+        node = tape.nodes[idx]
+        parent_grads = node.backward_fn(grad, node.needs)
+        for parent, pgrad in zip(node.parents, parent_grads):
+            if pgrad is None:
                 continue
-            node = tape.nodes[idx]
-            parent_grads = node.backward_fn(grad, node.needs)
-            for parent, pgrad in zip(node.parents, parent_grads):
-                if pgrad is None:
-                    continue
-                if parent.node is not None and parent.node.tape is tape:
-                    j = parent.node.index
-                    held = grads_by_node.get(j)
-                    grads_by_node[j] = pgrad if held is None else held + pgrad
-                elif parent.requires_grad:
-                    held = leaf_grads.get(parent)
-                    leaf_grads[parent] = np.array(pgrad) if held is None else held + pgrad
-    finally:
-        _ACTIVE.session_start = None
+            if parent.node is not None and parent.node.tape is tape:
+                j = parent.node.index
+                held = grads_by_node.get(j)
+                grads_by_node[j] = pgrad if held is None else held + pgrad
+            elif parent.requires_grad:
+                held = leaf_grads.get(parent)
+                leaf_grads[parent] = np.array(pgrad) if held is None else held + pgrad
     # One tape behind, not this one: a whole pass freed at once goes back to the
     # OS and the next pass faults it in again. The older graph freed here sits
     # below the newer pass's buffers in the heap and is reused warm (28x28,
@@ -235,13 +232,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         previous.released = True
     _ACTIVE.walked = tape
     return leaf_grads
-
-
-def _walked_alone(index: int) -> bool:
-    """Whether the node at ``index`` belongs to the session of the loss being
-    walked, so that no other loss walks it; False outside :func:`backward`."""
-    start = getattr(_ACTIVE, "session_start", None)
-    return start is not None and index >= start
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +499,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     about ``_BLOCK_BYTES`` of im2col columns and at least ``_LANE_MIN_WORK``
     multiply-adds, so they round as the whole product does; a short tail joins
     the last. Whole-batch columns are written only when the kernel gradient
-    will read them, and a walk from the conv's own recording session drops
-    them once it has; a later walk gathers them again with the same blocks.
+    will read them. The kernel gradient drops them when the conv's node is in
+    its tape's latest recording session (``Tape.session``); a conv of an
+    earlier session keeps them until its graph is released, and a conv walked
+    again after the drop gathers them again with the same blocks.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
@@ -567,7 +559,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 _lanes(f, n * hw * ckk, kernel_grad)
             else:
                 kernel_grad(0, f)
-            if _walked_alone(index):  # no other loss reads them: free them now
+            if index >= recording[0].session:  # no later session reads them: free them now
                 cols = None
         if needs[0]:
             gp = np.zeros((n, *padded))

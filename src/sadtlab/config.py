@@ -16,7 +16,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .strategies import Strategy
+from .strategies import PRESETS, Strategy
 
 
 class ConfigError(ValueError):
@@ -139,8 +139,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"cutmix_alpha must be positive and finite, got {data.cutmix_alpha}")
     if model.arch == "tiny_mlp" and any(d < 1 for d in model.hidden_dims):
         raise ConfigError(f"hidden_dims must all be >= 1, got {_join(model.hidden_dims)}")
-    if model.arch == "tiny_mlp" and cfg.strategy.id == "sadt_v2":
-        raise ConfigError("sadt_v2 needs a conv layer; tiny_mlp has none")
+    if model.arch == "tiny_mlp" and "last-conv" in PRESETS[cfg.strategy.id].teachers:
+        raise ConfigError(f"{cfg.strategy.id} needs a conv layer; tiny_mlp has none")
 
 
 def parse_config(path, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:

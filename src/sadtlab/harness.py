@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .autodiff import ShapeError
 from .config import (
     ConfigError, DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields,
     resolved_text,
@@ -106,12 +105,12 @@ def _load_dataset(data: DataConfig) -> tuple[Dataset, Dataset, str]:
 
 def _build_model(cfg: ModelConfig, train: Dataset, source: str) -> Model:
     shape = train.images.shape[1:]
-    if cfg.arch == "simple_cnn":
-        try:
+    try:  # images too small for the pools, or of no pixels (a ShapeError is a ValueError)
+        if cfg.arch == "simple_cnn":
             return build_simple_cnn(shape, train.num_classes, cfg.init_seed)
-        except ShapeError as exc:  # images too small for the pools
-            raise ConfigError(f"[model] arch = simple_cnn does not fit {source}: {exc}") from exc
-    return build_tiny_mlp(int(np.prod(shape)), cfg.hidden_dims, train.num_classes, cfg.init_seed)
+        return build_tiny_mlp(int(np.prod(shape)), cfg.hidden_dims, train.num_classes, cfg.init_seed)
+    except ValueError as exc:
+        raise ConfigError(f"[model] arch = {cfg.arch} does not fit {source}: {exc}") from exc
 
 
 def _batch_hash(batch: MixedBatch) -> str:
@@ -180,8 +179,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     pass supplies the current logits, so no copy of the initial model is
     kept. Writes metrics.csv, resolved.ini, env.json, summary.json,
     batch_hashes.txt, and the final checkpoint into the output directory,
-    which is made only once the data has loaded. A non-finite loss aborts the run after saving the
-    weights before the failing step and flushing the log.
+    which is made only once the data has loaded; metrics.csv is also
+    rewritten at the end of every epoch, so an interrupted run keeps the
+    rows of its finished epochs. A non-finite loss aborts the run after
+    saving the weights before the failing step and flushing the log.
     """
     opts = cfg.train
     seed, batch_size, epochs = opts.seed, opts.batch_size, opts.epochs
@@ -240,6 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
                 log.rows.append(
                     RunRow(step, epoch, "probe", sharpness=sharp.value, divergence=div.value)
                 )
+            (out / METRICS_FILE).write_text(log.csv_text())  # an interrupted run keeps its rows
     except NonFiniteLossError as exc:
         save_checkpoint(model.params, out / ABORT_CHECKPOINT_FILE)
         _write_outputs(log, out, aborted=str(exc))

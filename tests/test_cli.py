@@ -268,6 +268,24 @@ def test_simple_cnn_on_small_images_prints_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tiny_mlp_on_images_of_no_pixels_prints_one_error_line(tmp_path, capsys):
+    images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    synth.write_idx_images(images, np.zeros((4, 0, 0)))
+    synth.write_idx_labels(labels, np.array([0, 1, 0, 1]))
+    config = tmp_path / "empty.ini"
+    config.write_text(
+        f"[data]\ntrain_images = {images}\ntrain_labels = {labels}\n"
+        f"test_images = {images}\ntest_labels = {labels}\n"
+        "train_size = 4\ntest_size = 4\nnum_classes = 2\n[model]\narch = tiny_mlp\n"
+    )
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+    message = (f"[model] arch = tiny_mlp does not fit {images}: "
+               "dimensions must be positive, got [0, 64, 2]")
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+    assert not out.exists()
+
+
 def test_abort_checkpoint_holds_the_initial_weights(session, tmp_path, monkeypatch):
     # rho = 1e300 makes the first step's ascent pass non-finite
     root, _, _ = session

@@ -10,9 +10,11 @@ worker (made even on a one-CPU machine) and once with ``autodiff._WORKER``
 off, where one lane walks every block.
 
 A recorded conv drops its whole-batch columns once its kernel gradient is
-computed, when the walk's loss was recorded in the conv's own session; a
-conv of an earlier session keeps them for the next loss, and a conv walked
-again after the drop gathers them again, with the same bytes.
+computed when it was recorded in its tape's latest ``with tape:`` session; a
+conv of an earlier session keeps them until its graph is released, and a
+conv walked again after the drop gathers them again, with the same bytes.
+In training and in the sharpness probe, each conv's images are gathered
+once per conv forward: no walk gathers them again.
 """
 
 import math
@@ -25,9 +27,10 @@ import pytest
 from sadtlab import autodiff
 from sadtlab.autodiff import Tape, Tensor, backward, conv2d, softmax_cross_entropy
 from sadtlab.data import MixedBatch
+from sadtlab.metrics import estimate_sharpness
 from sadtlab.nn import build_simple_cnn
 from sadtlab.optim import AdamState
-from sadtlab.strategies import Strategy
+from sadtlab.strategies import STRATEGY_IDS, Strategy
 
 from conftest import col2im, mul
 
@@ -288,18 +291,77 @@ def test_a_conv_walked_after_its_columns_were_dropped_gathers_them_again(lanes, 
     assert counting.images_gathered() == {1: 64, 32: 64, 64: 64}
 
 
-def test_a_training_step_leaves_no_whole_batch_columns_behind():
-    # simple_cnn at 16x16, batch 32: conv1-conv3 record 7.3 MiB of columns; with
-    # them, the step left 12.6 MiB allocated, without them 5.3 MiB
-    model = build_simple_cnn((1, 16, 16), 10, seed=0)
+def test_a_conv_whose_tape_is_entered_again_before_its_walk_keeps_its_columns(lanes,
+                                                                             monkeypatch):
+    model, x, targets = _model_and_batch()
+    fresh = _heads(model, x, targets, None)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(autodiff, "np", counting)
+    # both heads are recorded before either is walked: when the first head's
+    # loss is walked, its session is no longer the tape's latest, so the prefix
+    # convs keep their columns for the second head
+    tape, losses = Tape(), []
+    with tape:
+        prefix = model.forward(Tensor(x), stop="conv3")
+        losses.append(softmax_cross_entropy(model.forward(prefix, start="conv3"),
+                                            Tensor(targets[0])))
+    with tape:
+        losses.append(softmax_cross_entropy(model.forward(prefix, start="conv3"),
+                                            Tensor(targets[1])))
+    grads = [backward(loss) for loss in losses]
+    monkeypatch.setattr(autodiff, "np", np)
+    assert [[g[e.tensor].tobytes() for e in model.params] for g in grads] == fresh
+    assert counting.images_gathered() == {1: 32, 32: 32, 64: 64}  # no walk gathers again
+
+
+def _training_batch() -> MixedBatch:
     gen = np.random.default_rng(0)
-    batch = MixedBatch.plain(gen.uniform(0.0, 1.0, (32, 1, 16, 16)), gen.integers(0, 10, 32))
-    state, baseline = AdamState(model.params), Strategy("baseline")
-    baseline.step(model, batch, state, lr=0.001)
+    return MixedBatch.plain(gen.uniform(0.0, 1.0, (32, 1, 16, 16)), gen.integers(0, 10, 32))
+
+
+# simple_cnn's conv forwards (conv1, conv2, conv3) in one step of each strategy:
+# sadt_v2's two heads share one conv1-conv2 forward
+STEP_CONV_FORWARDS = {"baseline": (1, 1, 1), "gc": (1, 1, 1), "agc": (1, 1, 1),
+                      "sam": (2, 2, 2), "sadt_v1": (2, 2, 2), "sadt_v2": (2, 2, 3),
+                      "sadt_v3": (2, 2, 2)}
+
+
+@pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
+def test_a_training_step_gathers_each_conv_once_per_forward(lanes, monkeypatch, strategy_id):
+    model = build_simple_cnn((1, 16, 16), 10, seed=0)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(autodiff, "np", counting)
+    Strategy(strategy_id).step(model, _training_batch(), AdamState(model.params), lr=0.001,
+                               noise_seed=np.random.SeedSequence(0))
+    monkeypatch.setattr(autodiff, "np", np)
+    forwards = STEP_CONV_FORWARDS[strategy_id]
+    assert counting.images_gathered() == {c: 32 * k for (c, _), k in zip(LAYERS, forwards)}
+
+
+def test_a_sharpness_probe_gathers_each_conv_once_per_forward(lanes, monkeypatch):
+    model, batch = build_simple_cnn((1, 16, 16), 10, seed=0), _training_batch()
+    counting = _CountingNumpy()
+    monkeypatch.setattr(autodiff, "np", counting)
+    estimate_sharpness(model, [(batch.images, batch.label_a)], rho=0.05)
+    monkeypatch.setattr(autodiff, "np", np)
+    # a recorded forward at w and an off-tape one at the ascent point
+    assert counting.images_gathered() == {1: 64, 32: 64, 64: 64}
+
+
+@pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
+def test_a_training_step_leaves_no_whole_batch_columns_behind(strategy_id):
+    # simple_cnn at 16x16, batch 32: conv1-conv3 record 7.3 MiB of columns; with
+    # them, a baseline step left 12.6 MiB allocated, without them 5.3 MiB. The
+    # columns of sadt_v2's shared conv1-conv2 prefix (5.06 MiB) stay one tape
+    # behind by design
+    model, batch = build_simple_cnn((1, 16, 16), 10, seed=0), _training_batch()
+    state, strategy = AdamState(model.params), Strategy(strategy_id)
+    strategy.step(model, batch, state, lr=0.001, noise_seed=np.random.SeedSequence(0))
     tracemalloc.start()
     try:
-        baseline.step(model, batch, state, lr=0.001)
+        strategy.step(model, batch, state, lr=0.001, noise_seed=np.random.SeedSequence(1))
         left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert left < 8 * 2**20
+    prefix = 32 * (16 * 16 * 1 + 8 * 8 * 32) * 9 * 8 if strategy_id == "sadt_v2" else 0
+    assert left < 8 * 2**20 + prefix

@@ -3,8 +3,9 @@ the sharpness probe leaves the weights bitwise as they were and returns the
 logits of an off-tape forward, a model's divergence from itself is exactly 0,
 and evaluation does not depend on dataset order. Then the probes of
 ``run_experiment``: the divergence column is the one two full forwards of
-both models give, and each probe batch costs two forwards per probe plus one
-per run for the initial model."""
+both models give, each probe batch costs two forwards per probe plus one
+per run for the initial model, and a run interrupted mid-epoch keeps the
+``metrics.csv`` rows of its finished epochs."""
 
 import math
 import warnings
@@ -24,6 +25,7 @@ from sadtlab.metrics import (
     probe_logits,
 )
 from sadtlab.nn import Model, build_simple_cnn, build_tiny_mlp
+from sadtlab.strategies import Strategy
 
 CLASSES = 3
 
@@ -188,3 +190,24 @@ def test_each_probe_batch_costs_two_forwards_per_probe(probe_config, monkeypatch
         "model_divergence": [0] * probes,
         "probe_logits": [PROBE_BATCHES] if probes else [],  # the initial model, once
     }
+
+
+def test_a_run_interrupted_in_an_epoch_keeps_the_rows_of_the_epochs_before(probe_config,
+                                                                          monkeypatch, tmp_path):
+    whole = harness.run_experiment(probe_config).csv_text()
+    probe_config.output.dir = str(tmp_path / "interrupted")
+    steps, step = [0], Strategy.step
+
+    def interrupted(self, *args, **kwargs):
+        steps[0] += 1
+        if steps[0] > 24 // BATCH:  # epoch 2's first step
+            raise KeyboardInterrupt
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Strategy, "step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_experiment(probe_config)
+    kept = (tmp_path / "interrupted" / harness.METRICS_FILE).read_text()
+    # the header, eval rows at step 0, epoch 1's steps, its eval rows and its probe
+    assert kept.count("\n") == 1 + 2 + 24 // BATCH + 2 + 1
+    assert whole.startswith(kept)
