@@ -36,11 +36,16 @@ for numpy to release the GIL (``_MATMUL_GIL_MAX_OUT``). Lanes split only
 rows and channels, never a sum: each lane writes its own rows of buffers the
 caller allocated, with the kernel the whole array would get, and each
 lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies
-it with the kernel it uses for the whole product. So one lane or two give
-the same bits.
+it with the kernel it uses for the whole product, and starts at an even row.
+So one lane or two give the same bits.
 The bias gradient sums over the batch and stays on one lane. A conv lane
 walks its images in blocks of at least ``_LANE_MIN_WORK`` multiply-adds, forward
 and input gradient alike, so each block's product has the whole product's bits.
+
+The same worker also runs one job beside the caller (``_in_background``): a
+training step hands it every teacher's noise draw at the step's start, and
+the lanes of the step's passes queue behind that draw. Without a worker the
+draw runs on the caller first.
 """
 
 from __future__ import annotations
@@ -336,10 +341,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Least multiply-adds each lane must hold, or a kernel runs on one lane. It is
-# a correctness rule as well as a speed one: OpenBLAS multiplies a product of
-# up to ~1e6 M*N*K with its small-matrix kernel, which rounds differently from
-# the whole product's kernel. The margin keeps the 8x8 training convs, where
-# a handoff costs about what the split saves, on one lane.
+# a correctness rule as well as a speed one: OpenBLAS's SkylakeX dgemm (AVX-512)
+# multiplies a product of up to ~1e6 M*N*K with its small-matrix kernel, which
+# rounds differently from the whole product's kernel. Its Haswell dgemm (AVX2)
+# also rounds a run of rows that starts at an odd row differently, so lanes and
+# blocks of conv images start at an even row. The margin keeps the 8x8 training
+# convs, where a handoff costs about what the split saves, on one lane.
 _LANE_MIN_WORK = 4_000_000
 # a pool cell's forward takes about as long as this many multiply-adds of a
 # one-thread BLAS product
@@ -352,11 +359,13 @@ _MATMUL_GIL_MAX_OUT = 500
 
 
 class _Worker:
-    """One daemon thread that runs the upper lane of split kernels.
+    """One daemon thread that runs the upper lane of split kernels, and the
+    teachers' noise draws that a training step starts at its entry.
 
-    It runs numpy kernels only, never a tape op, under the errstate of the
-    thread that handed it the lane. Jobs go in on one queue; each reply comes
-    back on a queue of its own, so callers on several threads share it.
+    It runs numpy calls only, never a tape op, under the errstate of the
+    thread that handed it the job. Jobs go in on one queue and run in turn;
+    each reply comes back on a queue of its own, so callers on several
+    threads share it.
     """
 
     def __init__(self):
@@ -409,16 +418,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_worker)
 
 
-def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None]) -> None:
+def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None], align: int = 1) -> None:
     """Run ``fn(lo, hi)`` over the items ``[0, n)``: the caller runs
-    ``fn(0, n // 2)`` while the worker runs ``fn(n // 2, n)``, or the caller
-    runs ``fn(0, n)`` alone when there is no worker or a lane would hold
-    fewer than ``_LANE_MIN_WORK`` multiply-adds.
+    ``fn(0, half)`` while the worker runs ``fn(half, n)``, where ``half`` is
+    ``n // 2`` rounded down to a multiple of ``align``, or the caller runs
+    ``fn(0, n)`` alone when there is no worker or a lane would hold fewer
+    than ``_LANE_MIN_WORK`` multiply-adds.
 
     ``fn`` writes only items ``[lo, hi)`` of buffers the caller allocated,
     with numpy kernels only. A failure in the worker's lane re-raises here.
     """
-    half = n // 2
+    half = n // 2 // align * align
     worker = _WORKER
     # one item per lane never splits: a kernel-gradient lane of one channel
     # would turn numpy's gemm into a gemv, which sums in another order
@@ -432,6 +442,31 @@ def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None]) -> None:
         failure = reply.get()  # the worker's lane must end before the buffers are used
     if failure is not None:
         raise failure
+
+
+def _in_background(fn: Callable[[], None]) -> Callable[[], None]:
+    """Start ``fn()`` on the lane worker and return a wait for it, or run it
+    here first when there is no worker.
+
+    The wait blocks until ``fn`` has ended and re-raises a failure from it;
+    calling it again returns, or raises, at once. ``fn`` calls numpy only,
+    never a tape op or anything a profiler may wrap. Lanes handed to the
+    worker meanwhile queue behind it.
+    """
+    worker = _WORKER
+    if worker is None:
+        fn()
+        return lambda: None
+    reply = worker.submit(lambda lo, hi: fn(), 0, 0)
+    failures: list[BaseException | None] = []  # the one reply, once it came
+
+    def wait() -> None:
+        if not failures:
+            failures.append(reply.get())
+        if failures[0] is not None:
+            raise failures[0]
+
+    return wait
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +557,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     out_rows = out.reshape(n * hw, f)
     work = hw * f * ckk  # multiply-adds per image
     block = max(-(-_LANE_MIN_WORK // work), _BLOCK_BYTES // (hw * ckk * out.itemsize))
+    align = 2 if hw % 2 else 1  # every lane and block starts at an even row
+    block += block % align
     parents = (x, kernel, bias)
     recording = _recording(parents)
     keep = recording is not None and recording[1][1]  # the kernel gradient reads cols
@@ -534,7 +571,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             np.matmul(block_cols, wmat.T, out=rows)
             rows += bias.data
 
-    _lanes(n, work, forward)
+    _lanes(n, work, forward, align)
 
     def bw(g, needs):
         nonlocal cols
@@ -548,7 +585,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                     for _ in _im2col_blocks(x.data, k, lo, hi, block, cols):
                         pass
 
-                _lanes(n, work, regather)
+                _lanes(n, work, regather, align)
             gk = np.empty(kernel.data.shape)
             gk_rows = gk.reshape(f, ckk)
 
@@ -573,7 +610,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                     np.matmul(gm[start * hw : stop * hw], wmat, out=block_gcols)
                     _col2im_add(gp[start:stop], block_gcols, k)
 
-            _lanes(n, work, input_grad)
+            _lanes(n, work, input_grad, align)
             gx = gp[:, pad : pad + h, pad : pad + w, :]
         if needs[2]:
             # batch first, then a pairwise sum over each channel's contiguous

@@ -10,16 +10,20 @@ updated weights.
 flag for the sam ascent, and a tuple of teacher perturbations (``add_noise``
 filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 
+0. with teachers: the lane worker starts drawing every teacher's noise, each
+   from its own rng spawned from the step's noise seed, in teacher order, and
+   the step goes on beside it (on one CPU the draws run here first);
 1. task pass: forward and backward of the mixed-label loss at w;
 2. the gradient transform, or the sam ascent (the gradient at a copy of w
    moved rho along the normalized gradient);
 3. with teachers: a transient update of a copy of w, on an optimizer clone,
    gives the self-teacher weights w_up. The teachers share the forward of the
    layers none of them shifts: it is recorded once, at w_up, on one tape.
-   Each teacher then shifts the copy, records its head (the layers from the
-   first shifted one on) on that tape, differentiates the KL between the
-   pre-update logits (held constant) and its own logits, and removes its
-   shift; the task and KL gradients are summed;
+   Once the draws have ended, each teacher shifts the copy by its drawn noise,
+   records its head (the layers from the first shifted one on) on that tape,
+   differentiates the KL between the pre-update logits (held constant) and
+   its own logits, and removes its shift; the task and KL gradients are
+   summed;
 4. one update of the live weights with the persistent optimizer state, from
    w_up (copied in) or, with rollback_to_w, from w. Nothing moves them before
    it, so a step that raises leaves them as they were.
@@ -38,7 +42,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, backward, kl_divergence, scale, softmax_cross_entropy
+from .autodiff import (
+    Tape,
+    Tensor,
+    _in_background,
+    add,
+    backward,
+    kl_divergence,
+    scale,
+    softmax_cross_entropy,
+)
 from .data import MixedBatch
 from .nn import Model, ParamSet
 from .optim import (
@@ -59,7 +72,9 @@ from .optim import (
 # Strategy.step calls backward and the optim functions above through this
 # module's globals, never through a local alias or a stored reference, so a
 # profiler can wrap any of them by reassigning the attribute on
-# sadtlab.strategies (perfbench/tracing.py does).
+# sadtlab.strategies (perfbench/tracing.py does). All of them run on the
+# caller's thread: the lane worker that draws the teachers' noise calls only
+# Generator.normal, never a name a profiler may wrap.
 
 
 class Preset(NamedTuple):
@@ -158,48 +173,52 @@ class Strategy:
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
         self._validate(model, teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
-        task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
-        logits_w, task_loss, grads = _grad_pass(model, Tensor(batch.images), task, "task")
-        flags: tuple[str, ...] = ()
-        if transform == "gc":
-            grads = gradient_centralize(grads)
-        elif transform == "agc":
-            grads = adaptive_gradient_clip(model.params, grads, self.agc_lambda)
-        if sam:  # the gradient at the sam point
-            shifted = sam_point(model, grads, self.rho)
-            if shifted is None:  # skip the ascent: the step degenerates to baseline
-                flags = ("zero-gradient",)
-            else:
-                _mark(trace, "perturbed", shifted.params)
-                _, _, grads = _grad_pass(shifted, Tensor(batch.images), task, "task")
-        kl_loss = 0.0
-        if teachers:
-            rngs = [np.random.default_rng(child) for child in noise_seed.spawn(len(teachers))]
-            # transient update of a copy on a state clone: w and the moments stay put
-            teacher = model.clone()
-            adam_step(teacher.params, grads, state.clone(), lr)
-            _mark(trace, "w_up", teacher.params)
-            parts = [grads]
-            kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
-            # the teachers share the forward of the layers before the first one they shift
-            split = _first_shifted_layer(teacher, teachers)
-            tape, x = Tape(), Tensor(batch.images)
-            if split is not None:
-                with tape:
-                    x = teacher.forward(x, stop=split)
-            for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
-                record = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr)
-                if trace is not None:
-                    trace.records.append(record)
-                _mark(trace, f"aux_{i}", teacher.params)
-                _, kl, g_aux = _grad_pass(teacher, x, kl_of, "KL", tape, split)
-                subtract_noise(teacher.params, record)
-                _mark(trace, f"rollback_{i}", teacher.params)
-                kl_loss += kl
-                parts.append(g_aux)
-            grads = aggregate_gradients(parts)
-            if not self.rollback_to_w:  # the final update starts from w_up
-                model.params.restore(teacher.params.snapshot())
+        rngs, drawn = self._draw_ahead(model.params, teachers, noise_seed)
+        try:
+            task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
+            logits_w, task_loss, grads = _grad_pass(model, Tensor(batch.images), task, "task")
+            flags: tuple[str, ...] = ()
+            if transform == "gc":
+                grads = gradient_centralize(grads)
+            elif transform == "agc":
+                grads = adaptive_gradient_clip(model.params, grads, self.agc_lambda)
+            if sam:  # the gradient at the sam point
+                shifted = sam_point(model, grads, self.rho)
+                if shifted is None:  # skip the ascent: the step degenerates to baseline
+                    flags = ("zero-gradient",)
+                else:
+                    _mark(trace, "perturbed", shifted.params)
+                    _, _, grads = _grad_pass(shifted, Tensor(batch.images), task, "task")
+            kl_loss = 0.0
+            if teachers:
+                # transient update of a copy on a state clone: w and the moments stay put
+                teacher = model.clone()
+                adam_step(teacher.params, grads, state.clone(), lr)
+                _mark(trace, "w_up", teacher.params)
+                parts = [grads]
+                kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
+                # the teachers share the forward of the layers before the first one they shift
+                split = _first_shifted_layer(teacher, teachers)
+                tape, x = Tape(), Tensor(batch.images)
+                if split is not None:
+                    with tape:
+                        x = teacher.forward(x, stop=split)
+                drawn()
+                for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
+                    record = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr)
+                    if trace is not None:
+                        trace.records.append(record)
+                    _mark(trace, f"aux_{i}", teacher.params)
+                    _, kl, g_aux = _grad_pass(teacher, x, kl_of, "KL", tape, split)
+                    subtract_noise(teacher.params, record)
+                    _mark(trace, f"rollback_{i}", teacher.params)
+                    kl_loss += kl
+                    parts.append(g_aux)
+                grads = aggregate_gradients(parts)
+                if not self.rollback_to_w:  # the final update starts from w_up
+                    model.params.restore(teacher.params.snapshot())
+        finally:
+            drawn()  # no draw outlives its step
         if trace is not None:
             trace.final_grads = grads
         adam_step(model.params, grads, state, lr)
@@ -219,9 +238,25 @@ class Strategy:
         if "last-conv" in teachers and not model.params.layers("conv"):
             raise ValueError(f"{self.id} requires an architecture with a conv layer")
 
+    def _draw_ahead(
+        self, params: ParamSet, teachers: tuple[str, ...], noise_seed
+    ) -> tuple[list[_Drawn], Callable[[], None]]:
+        """One rng per teacher, spawned from ``noise_seed``, with the wait for
+        its normals, which the lane worker starts drawing now: a parameter
+        filter's ``noise_targets`` entries at sigma_w, or one array per
+        parameter at sigma_g for "gradient-all"."""
+        if not teachers:
+            return [], lambda: None
+        rngs = []
+        for layer_filter, child in zip(teachers, noise_seed.spawn(len(teachers))):
+            noisy = layer_filter in PARAM_FILTERS
+            targets = noise_targets(params, layer_filter if noisy else "all").values()
+            sigma = self.sigma_w if noisy else self.sigma_g
+            rngs.append(_Drawn(np.random.default_rng(child), [(0.0, sigma, a.shape) for a in targets]))
+        return rngs, _in_background(lambda: [rng.draw() for rng in rngs])
+
     def _perturb(
-        self, params: ParamSet, grads: GradSet, layer_filter: str, rng: np.random.Generator,
-        ascent_lr: float,
+        self, params: ParamSet, grads: GradSet, layer_filter: str, rng: _Drawn, ascent_lr: float,
     ) -> NoiseRecord:
         """Shift the teacher copy from w_up to one auxiliary teacher."""
         if layer_filter in PARAM_FILTERS:
@@ -229,6 +264,24 @@ class Strategy:
         return shift_params(  # a noisy ascent step
             params, {n: ascent_lr * (g + rng.normal(0.0, self.sigma_g, size=g.shape)) for n, g, _ in grads}
         )
+
+
+class _Drawn:
+    """A teacher's rng whose ``normal`` calls are known ahead: ``draw`` makes
+    them in order, on the lane worker, and ``normal`` then hands their arrays
+    back in that order, each to the call that drew it."""
+
+    def __init__(self, rng: np.random.Generator, calls: list[tuple[float, float, tuple]]):
+        self.rng, self.calls, self.drawn = rng, calls, iter(())
+
+    def draw(self) -> None:
+        self.drawn = iter([(call, self.rng.normal(*call)) for call in self.calls])
+
+    def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
+        call, array = next(self.drawn)
+        if call != (loc, scale, size):
+            raise RuntimeError(f"normal{(loc, scale, size)} was drawn ahead as normal{call}")
+        return array
 
 
 def _first_shifted_layer(model: Model, teachers: tuple[str, ...]) -> str | None:

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from sadtlab import autodiff
 from sadtlab.autodiff import Tensor, _apply, _col2im_add, _unbroadcast
 from sadtlab.nn import Model, ParamSet
 from sadtlab.optim import GradSet
@@ -70,6 +71,23 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """A lane worker, made even on a one-CPU machine, whose ``handed`` counts
+    the jobs (lanes and background draws) it was given."""
+    jobs = autodiff._WORKER or autodiff._Worker()
+    monkeypatch.setattr(autodiff, "_WORKER", jobs)
+    submit = jobs.submit
+
+    def counting_submit(*args):
+        counting_submit.handed += 1
+        return submit(*args)
+
+    counting_submit.handed = 0
+    monkeypatch.setattr(jobs, "submit", counting_submit)
+    return counting_submit
 
 
 @pytest.fixture

@@ -28,22 +28,6 @@ from conftest import mul
 LAYERS = ((1, 32), (32, 64), (64, 64))
 
 
-@pytest.fixture
-def worker(monkeypatch):
-    """A lane worker whose ``handed`` counts the lanes it was given."""
-    lanes = autodiff._WORKER or autodiff._Worker()
-    monkeypatch.setattr(autodiff, "_WORKER", lanes)
-    submit = lanes.submit
-
-    def counting_submit(*args):
-        counting_submit.handed += 1
-        return submit(*args)
-
-    counting_submit.handed = 0
-    monkeypatch.setattr(lanes, "submit", counting_submit)
-    return counting_submit
-
-
 def _stack(n: int, side: int) -> list[bytes]:
     """simple_cnn's conv stack (conv, pool, ReLU per layer) on a seeded batch:
     every conv and pool output, then the gradients of the input, each kernel

@@ -1,12 +1,17 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import sadtlab.nn
+from sadtlab import autodiff, strategies
 from sadtlab.autodiff import Tensor
 from sadtlab.data import MixedBatch, cutmix
 from sadtlab.nn import build_simple_cnn, build_tiny_mlp
 from sadtlab.optim import AdamState, adam_step, gradient_centralize
 from sadtlab.strategies import (
+    PRESETS,
     STRATEGY_IDS,
     NonFiniteLossError,
     StepTrace,
@@ -503,3 +508,137 @@ class TestStrategyDispatch:
                 noise_seed=np.random.SeedSequence(6),
             )
             assert np.isfinite(report.task_loss)
+
+
+TEACHER_IDS = [s for s in STRATEGY_IDS if PRESETS[s].teachers]
+
+
+def _teacher_step(strategy_id, steps=2):
+    """Two steps of a teacher preset on simple_cnn at 8x8: the final params,
+    Adam moments and the shift records of the last step."""
+    model = small_cnn(seed=30)
+    state = AdamState(model.params)
+    strat = Strategy(strategy_id, sigma_w=0.01, sigma_g=0.01, ascent_lr=0.001)
+    for step in range(steps):
+        trace = StepTrace()
+        strat.step(model, small_batch(seed=31 + step), state, 0.001,
+                   noise_seed=np.random.SeedSequence(step), trace=trace)
+    return model.params.snapshot(), state, trace.records
+
+
+def _bytes(arrays):
+    return {name: a.tobytes() for name, a in arrays.items()}
+
+
+class TestTeacherNoiseDrawnAhead:
+    """Every teacher's normals are drawn on the lane worker from the start of
+    the step, and consumed on the caller thread with the same bits."""
+
+    @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
+    def test_a_step_with_the_worker_matches_one_without(self, worker, monkeypatch, strategy_id):
+        params, state, records = _teacher_step(strategy_id)
+        assert worker.handed == 2  # one draw per step: no conv at 8x8 reaches the lane floor
+        monkeypatch.setattr(autodiff, "_WORKER", None)
+        params_1, state_1, records_1 = _teacher_step(strategy_id)
+        assert _bytes(params) == _bytes(params_1)
+        assert _bytes(state.m) == _bytes(state_1.m) and _bytes(state.v) == _bytes(state_1.v)
+        assert [r.names() for r in records] == [r.names() for r in records_1]
+        for record, record_1 in zip(records, records_1):
+            for name in record.names():
+                assert record.noise(name).tobytes() == record_1.noise(name).tobytes(), name
+
+    @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
+    def test_each_teacher_draws_from_its_own_spawned_rng_in_teacher_order(self, worker,
+                                                                          strategy_id):
+        model = small_cnn(seed=32)
+        batch = small_batch(seed=33)
+        grads = task_grads(model.clone(), batch)
+        strat = Strategy(strategy_id, sigma_w=0.01, sigma_g=0.02, ascent_lr=0.003)
+        trace = StepTrace()
+        strat.step(model, batch, AdamState(model.params), 0.001,
+                   noise_seed=np.random.SeedSequence(7), trace=trace)
+        teachers = PRESETS[strategy_id].teachers
+        children = np.random.SeedSequence(7).spawn(len(teachers))
+        assert len(trace.records) == len(teachers)
+        for layer_filter, child, record in zip(teachers, children, trace.records):
+            rng = np.random.default_rng(child)
+            for name in record.names():
+                if layer_filter == "gradient-all":
+                    g = grads.get(name)
+                    expected = 0.003 * (g + rng.normal(0.0, 0.02, size=g.shape))
+                else:
+                    expected = rng.normal(0.0, 0.01, size=record.noise(name).shape)
+                assert np.array_equal(record.noise(name), expected), (layer_filter, name)
+
+    @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
+    def test_a_non_finite_task_loss_raises_once_the_draw_has_ended(self, worker, monkeypatch,
+                                                                   strategy_id):
+        ended = []
+        draw = strategies._Drawn.draw
+
+        def slow_draw(drawn):
+            time.sleep(0.2)  # far longer than the task pass at 8x8
+            draw(drawn)
+            ended.append(drawn)
+
+        monkeypatch.setattr(strategies._Drawn, "draw", slow_draw)
+        model = small_cnn(seed=34)
+        model.params.get("dense3.weight").data[0, 0] = np.nan
+        with pytest.raises(NonFiniteLossError, match="task loss"):
+            Strategy(strategy_id).step(model, small_batch(seed=35), AdamState(model.params),
+                                       0.001, noise_seed=np.random.SeedSequence(0))
+        assert len(ended) == len(PRESETS[strategy_id].teachers)
+        assert worker.handed == 1
+
+    @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
+    def test_the_worker_calls_no_name_a_profiler_may_wrap(self, worker, monkeypatch, strategy_id):
+        callers = set()
+
+        def on_caller_thread(owner, attr):
+            fn = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for attr in ("backward", "adam_step", "add_noise", "subtract_noise", "shift_params",
+                     "aggregate_gradients", "noise_targets"):
+            on_caller_thread(strategies, attr)
+        for attr in ("snapshot", "restore", "add_scaled", "clone"):
+            on_caller_thread(sadtlab.nn.ParamSet, attr)
+        _teacher_step(strategy_id, steps=1)
+        assert worker.handed == 1
+        assert callers == {threading.get_ident()}
+
+
+class TestInBackground:
+    def test_a_failure_in_the_worker_reraises_at_each_wait(self, worker):
+        def fail():
+            time.sleep(0.05)
+            raise ValueError("in the background")
+
+        wait = autodiff._in_background(fail)
+        for _ in range(2):  # a second wait neither blocks nor forgets the failure
+            with pytest.raises(ValueError, match="in the background"):
+                wait()
+        done = []
+        wait = autodiff._in_background(lambda: done.append(threading.get_ident()))
+        wait()
+        wait()
+        assert len(done) == 1 and done[0] != threading.get_ident()  # the worker serves the next job
+        assert worker.handed == 2
+
+    def test_without_a_worker_the_job_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "_WORKER", None)
+        done = []
+        wait = autodiff._in_background(lambda: done.append(threading.get_ident()))
+        assert done == [threading.get_ident()]
+        wait()
+
+        def fail():
+            raise ValueError("inline")
+
+        with pytest.raises(ValueError, match="inline"):
+            autodiff._in_background(fail)
