@@ -42,9 +42,9 @@ The bias gradient sums over the batch and stays on one lane. A conv lane
 walks its images in blocks of at least ``_LANE_MIN_WORK`` multiply-adds, forward
 and input gradient alike, so each block's product has the whole product's bits.
 
-The same worker also runs one job beside the caller (``_in_background``): a
-training step hands it every teacher's noise draw at the step's start, and
-the lanes of the step's passes queue behind that draw. Without a worker the
+Every job reaches the worker through ``_in_background``: the upper lane, and
+the teachers' noise draw that a training step hands it at its start; the
+lanes of the step's passes queue behind that draw. Without a worker the
 draw runs on the caller first.
 """
 
@@ -375,11 +375,11 @@ class _Worker:
 
     def _serve(self) -> None:
         while True:
-            fn, lo, hi, errstate, reply = self._jobs.get()
+            fn, errstate, reply = self._jobs.get()
             failure = None
             try:
                 with np.errstate(**errstate):
-                    fn(lo, hi)
+                    fn()
             except BaseException as exc:  # re-raised in the caller
                 failure = exc
             # fn's closure holds the op's buffers: they must not outlive the op
@@ -387,7 +387,7 @@ class _Worker:
             reply.put(failure)
             del failure
 
-    def submit(self, fn: Callable[[int, int], None], lo: int, hi: int) -> queue.SimpleQueue:
+    def submit(self, fn: Callable[[], None]) -> queue.SimpleQueue:
         with self._starting:
             if self._thread is None:
                 self._thread = threading.Thread(target=self._serve, name="sadtlab-lane",
@@ -395,7 +395,7 @@ class _Worker:
                 self._thread.start()
         reply: queue.SimpleQueue = queue.SimpleQueue()
         errstate = {**np.geterr(), "call": np.geterrcall()}
-        self._jobs.put((fn, lo, hi, errstate, reply))
+        self._jobs.put((fn, errstate, reply))
         return reply
 
 
@@ -426,22 +426,21 @@ def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None], align: in
     than ``_LANE_MIN_WORK`` multiply-adds.
 
     ``fn`` writes only items ``[lo, hi)`` of buffers the caller allocated,
-    with numpy kernels only. A failure in the worker's lane re-raises here.
+    with numpy kernels only. A failure in either lane re-raises here once
+    both have ended; when both fail, the worker's failure wins, chained to
+    the caller's.
     """
     half = n // 2 // align * align
-    worker = _WORKER
     # one item per lane never splits: a kernel-gradient lane of one channel
     # would turn numpy's gemm into a gemv, which sums in another order
-    if worker is None or half < 2 or half * work_per_item < _LANE_MIN_WORK:
+    if _WORKER is None or half < 2 or half * work_per_item < _LANE_MIN_WORK:
         fn(0, n)
         return
-    reply = worker.submit(fn, half, n)
+    wait = _in_background(lambda: fn(half, n))
     try:
         fn(0, half)
     finally:
-        failure = reply.get()  # the worker's lane must end before the buffers are used
-    if failure is not None:
-        raise failure
+        wait()  # the worker's lane must end before the buffers are used
 
 
 def _in_background(fn: Callable[[], None]) -> Callable[[], None]:
@@ -457,14 +456,13 @@ def _in_background(fn: Callable[[], None]) -> Callable[[], None]:
     if worker is None:
         fn()
         return lambda: None
-    reply = worker.submit(lambda lo, hi: fn(), 0, 0)
-    failures: list[BaseException | None] = []  # the one reply, once it came
+    reply = worker.submit(fn)
 
     def wait() -> None:
-        if not failures:
-            failures.append(reply.get())
-        if failures[0] is not None:
-            raise failures[0]
+        failure = reply.get()
+        reply.put(failure)  # so the next wait returns, or raises, at once
+        if failure is not None:
+            raise failure
 
     return wait
 

@@ -259,8 +259,16 @@ def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = No
 
     The forward rule follows from the layers (see :class:`Model`). The input
     shape is inferred from the first layer when not given (conv kernels fix
-    channels only, so H and W are required for CNNs).
+    channels only, so H and W are required for CNNs). Parameters that no
+    model runs, with no dense layer or a layer without its weight or bias,
+    raise ``CheckpointError``.
     """
+    if not params.layers("dense"):
+        raise CheckpointError("no model runs parameters without a dense layer")
+    for layer in dict.fromkeys(e.layer for e in params):
+        missing = {f"{layer}.weight", f"{layer}.bias"} - set(params.names())
+        if missing:
+            raise CheckpointError(f"layer {layer} lacks {', '.join(sorted(missing))}")
     if params.layers("conv"):
         if input_shape is None:
             raise ValueError("input_shape (C, H, W) is required to rebuild a conv model")

@@ -1,10 +1,12 @@
-"""Adam with cosine decay, gradient transforms, and parameter noise.
+"""Adam with cosine decay, gradient transforms, and parameter shifts.
 
 Gradient sets mirror a ParamSet entry-for-entry; every operation re-checks
-alignment. A parameter shift (noise, or a noisy ascent step) keeps the shift
-and the values before it; removal checks bitwise that the parameters hold their
-sum, which detects the wrong tensors, and restores the values before it.
-Strategies shift only a copy of the live weights, never the live ones.
+alignment. ``noise_targets`` names the entries a layer filter selects. A
+parameter shift (drawn noise, or a noisy ascent step), added by ``add_noise``,
+keeps the shift and the values before it; removal checks bitwise that the
+parameters hold their sum, which detects the wrong tensors, and restores the
+values before it. Strategies shift only a copy of the live weights, never the
+live ones.
 """
 
 from __future__ import annotations
@@ -236,8 +238,10 @@ def noise_targets(params: ParamSet, layer_filter: str) -> dict[str, np.ndarray]:
     return {e.name: e.tensor.data for e in params.entries if e.layer == layers[-1]}
 
 
-def shift_params(params: ParamSet, shifts: dict[str, np.ndarray]) -> NoiseRecord:
-    """Add each named shift to its parameter in place, after checking every name and shape."""
+def add_noise(params: ParamSet, shifts: dict[str, np.ndarray]) -> NoiseRecord:
+    """Add each named shift to its parameter in place, after checking every
+    name and shape. The caller draws the shifts: a teacher's noise, or a noisy
+    ascent step."""
     arrays = noise_targets(params, "all")
     record = NoiseRecord()
     for name, shift in shifts.items():
@@ -247,25 +251,6 @@ def shift_params(params: ParamSet, shifts: dict[str, np.ndarray]) -> NoiseRecord
     for name, (shift, _) in record.entries.items():
         arrays[name] += shift
     return record
-
-
-def add_noise(
-    params: ParamSet,
-    sigma: float,
-    layer_filter: str,
-    rng: np.random.Generator,
-) -> NoiseRecord:
-    """Add elementwise N(0, sigma^2) noise to the selected parameters in place.
-
-    Selection: "all", "last-conv" or "last-dense". Entries are drawn in
-    their stored order so the draw sequence is reproducible from the given rng.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    selected = noise_targets(params, layer_filter)
-    if not selected:
-        raise NoiseError(f"filter {layer_filter!r} selected no tensors")
-    return shift_params(params, {n: rng.normal(0.0, sigma, size=a.shape) for n, a in selected.items()})
 
 
 def subtract_noise(params: ParamSet, record: NoiseRecord) -> None:

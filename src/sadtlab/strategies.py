@@ -7,23 +7,23 @@ with soft-label KL gradients taken against perturbed copies of the freshly
 updated weights.
 
 ``PRESETS`` maps each id to a gradient transform (none, "gc" or "agc"), a
-flag for the sam ascent, and a tuple of teacher perturbations (``add_noise``
+flag for the sam ascent, and a tuple of teacher perturbations (``noise_targets``
 filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 
-0. with teachers: the lane worker starts drawing every teacher's noise, each
-   from its own rng spawned from the step's noise seed, in teacher order, and
-   the step goes on beside it (on one CPU the draws run here first);
+0. with teachers: the lane worker starts drawing each teacher's noise, an
+   array per entry it shifts, from its own rng spawned from the step's noise
+   seed, in teacher order (on one CPU the draws run here, before step 1);
 1. task pass: forward and backward of the mixed-label loss at w;
 2. the gradient transform, or the sam ascent (the gradient at a copy of w
    moved rho along the normalized gradient);
 3. with teachers: a transient update of a copy of w, on an optimizer clone,
    gives the self-teacher weights w_up. The teachers share the forward of the
    layers none of them shifts: it is recorded once, at w_up, on one tape.
-   Once the draws have ended, each teacher shifts the copy by its drawn noise,
-   records its head (the layers from the first shifted one on) on that tape,
-   differentiates the KL between the pre-update logits (held constant) and
-   its own logits, and removes its shift; the task and KL gradients are
-   summed;
+   Once the draws have ended, each teacher shifts the copy by its drawn
+   arrays (``add_noise``), records its head (the layers from the first
+   shifted one on) on that tape, differentiates the KL between the
+   pre-update logits (held constant) and its own logits, and removes its
+   shift; the task and KL gradients are summed;
 4. one update of the live weights with the persistent optimizer state, from
    w_up (copied in) or, with rollback_to_w, from w. Nothing moves them before
    it, so a step that raises leaves them as they were.
@@ -31,7 +31,7 @@ filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 Every teacher is one recorded shift of w_up, removed with a bitwise check.
 Parameter-noise teachers ("all", "last-conv", "last-dense") add N(0, sigma_w^2)
 to the selected layers. The gradient-noise teacher ("gradient-all") adds
-ascent_lr times the task gradient plus N(0, sigma_g^2), drawn entry by entry.
+ascent_lr times the task gradient plus N(0, sigma_g^2), to every entry.
 """
 
 from __future__ import annotations
@@ -65,22 +65,21 @@ from .optim import (
     aggregate_gradients,
     gradient_centralize,
     noise_targets,
-    shift_params,
     subtract_noise,
 )
 
 # Strategy.step calls backward and the optim functions above through this
 # module's globals, never through a local alias or a stored reference, so a
 # profiler can wrap any of them by reassigning the attribute on
-# sadtlab.strategies (perfbench/tracing.py does). All of them run on the
-# caller's thread: the lane worker that draws the teachers' noise calls only
-# Generator.normal, never a name a profiler may wrap.
+# sadtlab.strategies (perfbench/tracing.py does). All of them, add_noise and
+# subtract_noise for every teacher's shift, run on the caller's thread: the
+# lane worker runs only _draw (Generator.normal), never a name one may wrap.
 
 
 class Preset(NamedTuple):
     transform: str | None  # None, "gc" or "agc"
     sam: bool
-    teachers: tuple[str, ...]  # per KL pass: an add_noise filter or "gradient-all"
+    teachers: tuple[str, ...]  # per KL pass: a noise_targets filter or "gradient-all"
 
 
 PRESETS = {
@@ -171,9 +170,9 @@ class Strategy:
     ) -> StepReport:
         transform, sam, teachers = PRESETS[self.id]
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
-        self._validate(model, teachers, ascent_lr, noise_seed)
+        self._validate(teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
-        rngs, drawn = self._draw_ahead(model.params, teachers, noise_seed)
+        targets, noise, drawn = self._draw_ahead(model.params, teachers, noise_seed)
         try:
             task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
             logits_w, task_loss, grads = _grad_pass(model, Tensor(batch.images), task, "task")
@@ -198,14 +197,16 @@ class Strategy:
                 parts = [grads]
                 kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
                 # the teachers share the forward of the layers before the first one they shift
-                split = _first_shifted_layer(teacher, teachers)
+                split = _first_shifted_layer(teacher, targets)
                 tape, x = Tape(), Tensor(batch.images)
                 if split is not None:
                     with tape:
                         x = teacher.forward(x, stop=split)
                 drawn()
-                for i, (layer_filter, rng) in enumerate(zip(teachers, rngs)):
-                    record = self._perturb(teacher.params, grads, layer_filter, rng, ascent_lr)
+                for i, (layer_filter, shift) in enumerate(zip(teachers, noise)):
+                    if layer_filter == "gradient-all":  # a noisy ascent step
+                        shift = {n: ascent_lr * (g + shift[n]) for n, g, _ in grads}
+                    record = add_noise(teacher.params, shift)
                     if trace is not None:
                         trace.records.append(record)
                     _mark(trace, f"aux_{i}", teacher.params)
@@ -226,72 +227,45 @@ class Strategy:
             task_loss, kl_loss, lr, grads.global_norm(), (time.perf_counter() - start) * 1e3, flags
         )
 
-    def _validate(
-        self, model: Model, teachers: tuple[str, ...], ascent_lr: float, noise_seed
-    ) -> None:
+    def _validate(self, teachers: tuple[str, ...], ascent_lr: float, noise_seed) -> None:
         """Reject what depends on the step's arguments before any pass runs."""
         if teachers and noise_seed is None:
             # a fixed default would draw the same teacher noise at every step
             raise ValueError(f"strategy {self.id!r} draws teacher noise and needs a noise_seed")
         if "gradient-all" in teachers and ascent_lr < 0:  # the scheduled lr
             raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
-        if "last-conv" in teachers and not model.params.layers("conv"):
-            raise ValueError(f"{self.id} requires an architecture with a conv layer")
 
     def _draw_ahead(
         self, params: ParamSet, teachers: tuple[str, ...], noise_seed
-    ) -> tuple[list[_Drawn], Callable[[], None]]:
-        """One rng per teacher, spawned from ``noise_seed``, with the wait for
-        its normals, which the lane worker starts drawing now: a parameter
-        filter's ``noise_targets`` entries at sigma_w, or one array per
-        parameter at sigma_g for "gradient-all"."""
+    ) -> tuple[list[dict[str, tuple]], list[dict[str, np.ndarray]], Callable[[], None]]:
+        """Each teacher's target entries, by name and shape: its filter's
+        ``noise_targets``, or every entry for "gradient-all". Then the list
+        the lane worker starts filling now, one ``{name: normals}`` dict per
+        teacher, in teacher order, drawn at sigma_w or sigma_g from the
+        teacher's own rng, spawned from ``noise_seed``; and the wait for it."""
         if not teachers:
-            return [], lambda: None
-        rngs = []
+            return [], [], lambda: None
+        jobs, noise = [], []
         for layer_filter, child in zip(teachers, noise_seed.spawn(len(teachers))):
             noisy = layer_filter in PARAM_FILTERS
-            targets = noise_targets(params, layer_filter if noisy else "all").values()
+            entries = noise_targets(params, layer_filter if noisy else "all")
+            shapes = {name: a.shape for name, a in entries.items()}
             sigma = self.sigma_w if noisy else self.sigma_g
-            rngs.append(_Drawn(np.random.default_rng(child), [(0.0, sigma, a.shape) for a in targets]))
-        return rngs, _in_background(lambda: [rng.draw() for rng in rngs])
-
-    def _perturb(
-        self, params: ParamSet, grads: GradSet, layer_filter: str, rng: _Drawn, ascent_lr: float,
-    ) -> NoiseRecord:
-        """Shift the teacher copy from w_up to one auxiliary teacher."""
-        if layer_filter in PARAM_FILTERS:
-            return add_noise(params, self.sigma_w, layer_filter, rng)
-        return shift_params(  # a noisy ascent step
-            params, {n: ascent_lr * (g + rng.normal(0.0, self.sigma_g, size=g.shape)) for n, g, _ in grads}
-        )
+            jobs.append((np.random.default_rng(child), sigma, shapes))
+        wait = _in_background(lambda: noise.extend(_draw(*job) for job in jobs))
+        return [shapes for _, _, shapes in jobs], noise, wait
 
 
-class _Drawn:
-    """A teacher's rng whose ``normal`` calls are known ahead: ``draw`` makes
-    them in order, on the lane worker, and ``normal`` then hands their arrays
-    back in that order, each to the call that drew it."""
-
-    def __init__(self, rng: np.random.Generator, calls: list[tuple[float, float, tuple]]):
-        self.rng, self.calls, self.drawn = rng, calls, iter(())
-
-    def draw(self) -> None:
-        self.drawn = iter([(call, self.rng.normal(*call)) for call in self.calls])
-
-    def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
-        call, array = next(self.drawn)
-        if call != (loc, scale, size):
-            raise RuntimeError(f"normal{(loc, scale, size)} was drawn ahead as normal{call}")
-        return array
+def _draw(rng: np.random.Generator, sigma: float, shapes: dict) -> dict[str, np.ndarray]:
+    """One teacher's N(0, sigma^2) normals, an array per entry in entry order."""
+    return {name: rng.normal(0.0, sigma, shape) for name, shape in shapes.items()}
 
 
-def _first_shifted_layer(model: Model, teachers: tuple[str, ...]) -> str | None:
-    """The first layer, in forward order, that any teacher shifts; None when
-    it is the first layer, so the teachers share no prefix. Every teacher's
-    forward runs the same ops on the same arrays before that layer."""
-    shifted = set()
-    for layer_filter in teachers:  # "gradient-all" shifts every entry
-        names = noise_targets(model.params, layer_filter if layer_filter in PARAM_FILTERS else "all")
-        shifted.update(model.params.entry(name).layer for name in names)
+def _first_shifted_layer(model: Model, targets: list[dict[str, tuple]]) -> str | None:
+    """The first layer, in forward order, with an entry in any teacher's
+    ``targets``; None when it is the first layer, so the teachers share no
+    prefix. Every teacher's forward runs the same ops before that layer."""
+    shifted = {model.params.entry(name).layer for names in targets for name in names}
     layers = model.layers()
     first = next(layer for layer in layers if layer in shifted)
     return None if first == layers[0] else first

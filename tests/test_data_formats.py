@@ -13,7 +13,9 @@ too large for a C integer.
 
 Checkpoint format v1 carries no entry count, so a file cut exactly between
 two entries, or right after the header, still loads: as the shorter set of
-the entries before the cut. Detecting that is left for checkpoint v2.
+the entries before the cut. Detecting that is left for checkpoint v2. A
+model is rebuilt only from whole layers up to a dense one: ``probe`` fails
+in one line on a cut with no dense layer or with a weight but not its bias.
 """
 
 from pathlib import Path
@@ -26,7 +28,8 @@ from hypothesis import strategies as st
 from sadtlab import cli, synth
 from sadtlab.data import CIFAR_RECORD_BYTES, DataFormatError, load_cifar_binary, load_idx
 from sadtlab.nn import (
-    CHECKPOINT_MAGIC, CheckpointError, build_simple_cnn, load_checkpoint, save_checkpoint,
+    CHECKPOINT_MAGIC, CheckpointError, build_simple_cnn, load_checkpoint, model_from_params,
+    save_checkpoint,
 )
 
 
@@ -70,6 +73,41 @@ class TestCheckpointPrefixes:
         assert captured.out == ""
         assert captured.err.startswith(f"sadtlab: error: truncated checkpoint {cut}: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+class TestCheckpointNoModelRuns:
+    # simple_cnn's 12 entries: conv1-conv3 then dense1-dense3, weight then bias
+    @pytest.fixture
+    def cut_at(self, tmp_path):
+        params = build_simple_cnn((1, 8, 8), 3, seed=0).params
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(params, full)
+
+        def cut_at(entries):
+            cut = tmp_path / f"cut{entries}.ckpt"
+            cut.write_bytes(full.read_bytes()[: _entry_ends(params)[entries]])
+            return cut
+
+        return cut_at
+
+    @pytest.mark.parametrize("entries, message", [
+        (0, "no model runs parameters without a dense layer"),
+        (6, "no model runs parameters without a dense layer"),
+        (11, "layer dense3 lacks dense3.bias"),
+    ], ids=["header-only", "convs-only", "weight-without-bias"])
+    def test_cli_probe_prints_one_error_line_and_returns_2(self, cut_at, tmp_path, capsys,
+                                                          entries, message):
+        synth.generate_dataset_files(tmp_path / "data", 4, 4, 3, 8, 8, seed=1)
+        cut = cut_at(entries)
+        assert cli.main(["probe", "--checkpoint", str(cut), "--data", str(tmp_path / "data")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sadtlab: error: {message}\n"
+
+    def test_a_cut_after_whole_layers_still_rebuilds(self, cut_at):
+        # conv1-dense1: v1 has no entry count, so this is left for checkpoint v2
+        model = model_from_params(load_checkpoint(cut_at(8)), input_shape=(1, 8, 8))
+        assert model.layers() == ["conv1", "conv2", "conv3", "dense1"]
 
 
 def _mutations(span: int):

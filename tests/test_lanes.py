@@ -162,6 +162,16 @@ def test_a_failure_in_either_lane_reraises_in_the_caller(worker, monkeypatch):
     assert worker.handed == 5
 
 
+def test_when_both_lanes_fail_the_workers_failure_wins_chained_to_the_callers(worker):
+    def fail(lo, hi):
+        raise ValueError(f"lane {lo}:{hi}")
+
+    with pytest.raises(ValueError, match="lane 5:10") as raised:
+        autodiff._lanes(10, autodiff._LANE_MIN_WORK, fail)
+    assert str(raised.value.__context__) == "lane 0:5"
+    assert worker.handed == 1
+
+
 def test_callers_on_several_threads_share_the_worker(worker):
     # each caller waits on its own reply: a reply handed to the wrong caller
     # would let it read rows the worker has not written yet

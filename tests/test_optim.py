@@ -19,7 +19,7 @@ from sadtlab.optim import (
     aggregate_gradients,
     cosine_lr,
     gradient_centralize,
-    shift_params,
+    noise_targets,
     subtract_noise,
 )
 
@@ -169,11 +169,21 @@ class TestAdaptiveGradientClip:
             assert np.all(_unit_norms(arr) <= bound + 1e-12), name
 
 
+def drawn_noise(params, sigma, layer_filter, seed):
+    """A teacher's shift: N(0, sigma^2) per entry the filter selects, in entry order."""
+    gen = np.random.default_rng(seed)
+    targets = noise_targets(params, layer_filter)
+    return {n: gen.normal(0.0, sigma, size=a.shape) for n, a in targets.items()}
+
+
 class TestNoise:
+    # a negative sigma is rejected by the strategy that draws the noise
+    # (test_strategies.py, TestStrategyDispatch: sigma_w, sigma_g < 0)
+
     def test_sigma_zero_leaves_target_and_records_zeros(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
         before = model.params.snapshot()
-        record = add_noise(model.params, 0.0, "all", np.random.default_rng(0))
+        record = add_noise(model.params, drawn_noise(model.params, 0.0, "all", 0))
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name])
         for name in record.names():
@@ -182,7 +192,7 @@ class TestNoise:
     def test_add_then_subtract_restores_bitwise(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=1)
         before = model.params.snapshot()
-        record = add_noise(model.params, 0.0001, "all", np.random.default_rng(5))
+        record = add_noise(model.params, drawn_noise(model.params, 0.0001, "all", 5))
         changed = any(
             not np.array_equal(e.tensor.data, before[e.name]) for e in model.params
         )
@@ -198,31 +208,33 @@ class TestNoise:
     def test_restore_property_over_sigmas_and_filters(self, seed, sigma, layer_filter):
         model = build_simple_cnn((1, 8, 8), 3, seed=seed % 5)
         before = model.params.snapshot()
-        record = add_noise(model.params, sigma, layer_filter, np.random.default_rng(seed))
+        record = add_noise(model.params, drawn_noise(model.params, sigma, layer_filter, seed))
         subtract_noise(model.params, record)
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name])
 
     def test_last_dense_filter_touches_only_dense3(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=0)
-        record = add_noise(model.params, 0.0001, "last-dense", np.random.default_rng(0))
+        assert list(noise_targets(model.params, "last-dense")) == ["dense3.weight", "dense3.bias"]
+        record = add_noise(model.params, drawn_noise(model.params, 0.0001, "last-dense", 0))
         assert record.names() == ["dense3.weight", "dense3.bias"]
 
     def test_last_conv_filter_touches_only_conv3(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=0)
-        record = add_noise(model.params, 0.0001, "last-conv", np.random.default_rng(0))
+        assert list(noise_targets(model.params, "last-conv")) == ["conv3.weight", "conv3.bias"]
+        record = add_noise(model.params, drawn_noise(model.params, 0.0001, "last-conv", 0))
         assert record.names() == ["conv3.weight", "conv3.bias"]
 
     def test_wrong_model_rejected(self):
         a = build_tiny_mlp(3, [4], 2, seed=0)
         b = build_tiny_mlp(3, [4], 2, seed=1)
-        record = add_noise(a.params, 0.0001, "all", np.random.default_rng(0))
+        record = add_noise(a.params, drawn_noise(a.params, 0.0001, "all", 0))
         with pytest.raises(NoiseError):
             subtract_noise(b.params, record)
 
     def test_double_subtract_rejected(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
-        record = add_noise(model.params, 0.0001, "all", np.random.default_rng(0))
+        record = add_noise(model.params, drawn_noise(model.params, 0.0001, "all", 0))
         subtract_noise(model.params, record)
         with pytest.raises(NoiseError, match="single-use"):
             subtract_noise(model.params, record)
@@ -230,18 +242,15 @@ class TestNoise:
     def test_empty_filter_selection_rejected(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)  # no conv layers
         with pytest.raises(NoiseError):
-            add_noise(model.params, 0.0001, "last-conv", np.random.default_rng(0))
+            noise_targets(model.params, "last-conv")
 
     def test_param_filter_on_gradset_rejected(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
         grads = zero_grads(model.params)
         with pytest.raises(NoiseError):
-            add_noise(grads, 0.0001, "all", np.random.default_rng(0))
-
-    def test_negative_sigma_rejected(self):
-        model = build_tiny_mlp(3, [4], 2, seed=0)
-        with pytest.raises(ValueError):
-            add_noise(model.params, -1.0, "all", np.random.default_rng(0))
+            noise_targets(grads, "all")
+        with pytest.raises(NoiseError):
+            add_noise(grads, drawn_noise(model.params, 0.0001, "all", 0))
 
 
 class TestShiftParams:
@@ -258,7 +267,7 @@ class TestShiftParams:
         model = build_simple_cnn((1, 8, 8), 3, seed=2)
         before = model.params.snapshot()
         shifts = self.ascent_shifts(model.params, 3)
-        record = shift_params(model.params, shifts)
+        record = add_noise(model.params, shifts)
         assert record.names() == model.params.names()
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name] + shifts[e.name])
@@ -268,7 +277,7 @@ class TestShiftParams:
 
     def test_params_changed_between_shift_and_removal_rejected(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=2)
-        record = shift_params(model.params, self.ascent_shifts(model.params, 3))
+        record = add_noise(model.params, self.ascent_shifts(model.params, 3))
         adam_step(model.params, random_gradset(model.params, 4), AdamState(model.params), 1e-3)
         moved = model.params.snapshot()
         with pytest.raises(NoiseError, match="not in the state"):
@@ -279,7 +288,7 @@ class TestShiftParams:
 
     def test_one_changed_element_rejected(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
-        record = shift_params(model.params, self.ascent_shifts(model.params, 1))
+        record = add_noise(model.params, self.ascent_shifts(model.params, 1))
         model.params.get("dense2.bias").data[0] += 1e-12
         with pytest.raises(NoiseError):
             subtract_noise(model.params, record)
@@ -290,7 +299,7 @@ class TestShiftParams:
         shifts = self.ascent_shifts(model.params, 1)
         shifts["dense9.weight"] = np.ones((4, 2))
         with pytest.raises(NoiseError, match="dense9.weight"):
-            shift_params(model.params, shifts)
+            add_noise(model.params, shifts)
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name])
 
@@ -300,7 +309,7 @@ class TestShiftParams:
         shifts = self.ascent_shifts(model.params, 1)
         shifts["dense2.bias"] = np.ones(3)  # the bias has 2 entries
         with pytest.raises(NoiseError, match="dense2.bias"):
-            shift_params(model.params, shifts)
+            add_noise(model.params, shifts)
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name])
 
@@ -308,7 +317,7 @@ class TestShiftParams:
         model = build_tiny_mlp(3, [4], 2, seed=0)
         grads = zero_grads(model.params)
         with pytest.raises(NoiseError):
-            shift_params(grads, self.ascent_shifts(model.params, 1))
+            add_noise(grads, self.ascent_shifts(model.params, 1))
 
 
 class TestAggregateGradients:

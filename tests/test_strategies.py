@@ -571,17 +571,31 @@ class TestTeacherNoiseDrawnAhead:
                 assert np.array_equal(record.noise(name), expected), (layer_filter, name)
 
     @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
+    def test_each_record_names_the_entries_its_filter_selects(self, strategy_id):
+        model = small_cnn(seed=32)
+        every = model.params.names()  # "all" and "gradient-all" shift every entry
+        expected = {
+            "sadt_v1": [every],
+            "sadt_v2": [["conv3.weight", "conv3.bias"], ["dense3.weight", "dense3.bias"]],
+            "sadt_v3": [every],
+        }
+        trace = StepTrace()
+        Strategy(strategy_id).step(model, small_batch(seed=33), AdamState(model.params), 0.001,
+                                   noise_seed=np.random.SeedSequence(7), trace=trace)
+        assert [record.names() for record in trace.records] == expected[strategy_id]
+
+    @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
     def test_a_non_finite_task_loss_raises_once_the_draw_has_ended(self, worker, monkeypatch,
                                                                    strategy_id):
         ended = []
-        draw = strategies._Drawn.draw
+        draw = strategies._draw
 
-        def slow_draw(drawn):
+        def slow_draw(*job):
             time.sleep(0.2)  # far longer than the task pass at 8x8
-            draw(drawn)
-            ended.append(drawn)
+            ended.append(draw(*job))
+            return ended[-1]
 
-        monkeypatch.setattr(strategies._Drawn, "draw", slow_draw)
+        monkeypatch.setattr(strategies, "_draw", slow_draw)
         model = small_cnn(seed=34)
         model.params.get("dense3.weight").data[0, 0] = np.nan
         with pytest.raises(NonFiniteLossError, match="task loss"):
@@ -603,7 +617,7 @@ class TestTeacherNoiseDrawnAhead:
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        for attr in ("backward", "adam_step", "add_noise", "subtract_noise", "shift_params",
+        for attr in ("backward", "adam_step", "add_noise", "subtract_noise",
                      "aggregate_gradients", "noise_targets"):
             on_caller_thread(strategies, attr)
         for attr in ("snapshot", "restore", "add_scaled", "clone"):
