@@ -112,20 +112,34 @@ def _param_shapes(model) -> list[tuple[str, tuple[int, ...]]]:
     return [(e.name, e.tensor.shape) for e in model.params.entries]
 
 
+def _load_model(path: str, shape: tuple[int, ...]):
+    """A checkpoint's model; the path prefixes ``model_from_params``'s errors."""
+    from .nn import CheckpointError, load_checkpoint, model_from_params
+
+    params = load_checkpoint(path)
+    try:
+        return model_from_params(params, input_shape=shape)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
 def _cmd_probe(args) -> int:
     from .autodiff import ShapeError
     from .data import DataFormatError
     from .metrics import estimate_sharpness, model_divergence, probe_batches, probe_logits
-    from .nn import CheckpointError, load_checkpoint, model_from_params
+    from .nn import CheckpointError
 
     _check_probe_args(args)
     dataset = _resolve_probe_data(args.data)
     if dataset.n == 0:
         raise DataFormatError(f"--data {args.data} holds no samples")
     shape = dataset.images.shape[1:]
-    model = model_from_params(load_checkpoint(args.checkpoint), input_shape=shape)
+    model = _load_model(args.checkpoint, shape)
+    if dataset.labels.max() >= model.num_classes:  # one_hot would index past the classes
+        raise DataFormatError(f"--data {args.data} has label {dataset.labels.max()}, but "
+                              f"{args.checkpoint} has {model.num_classes} classes")
     if args.against:
-        other = model_from_params(load_checkpoint(args.against), input_shape=shape)
+        other = _load_model(args.against, shape)
         if _param_shapes(other) != _param_shapes(model):
             raise CheckpointError(
                 f"{args.against}: architecture differs from {args.checkpoint}; "

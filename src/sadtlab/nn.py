@@ -116,8 +116,8 @@ class ParamSet:
     def add_scaled(self, grads, coeff: float) -> None:
         """In-place ``p += coeff * g`` over aligned gradient entries."""
         grads.check_aligned(self)
-        for e, (_, garr, _) in zip(self.entries, grads):
-            e.tensor.data += coeff * garr
+        for e in self.entries:
+            e.tensor.data += coeff * grads[e.name]
 
 
 class Model:

@@ -1,12 +1,14 @@
 """Adam with cosine decay, gradient transforms, and parameter shifts.
 
-Gradient sets mirror a ParamSet entry-for-entry; every operation re-checks
-alignment. ``noise_targets`` names the entries a layer filter selects. A
-parameter shift (drawn noise, or a noisy ascent step), added by ``add_noise``,
-keeps the shift and the values before it; removal checks bitwise that the
-parameters hold their sum, which detects the wrong tensors, and restores the
-values before it. Strategies shift only a copy of the live weights, never the
-live ones.
+A gradient set is ``{name: array}`` in parameter order, like every other
+per-parameter set; every operation on one re-checks its alignment. Gradient
+centralization and adaptive clipping share one unit, picked by shape
+(``_unit_axes``): a conv filter, a dense output column, or a whole bias.
+``noise_targets`` names the entries a layer filter selects. A parameter shift
+(drawn noise, or a noisy ascent step), added by ``add_noise``, keeps the shift
+and the values before it; removal checks bitwise that the parameters hold
+their sum, which detects the wrong tensors, and restores the values before
+it. Strategies shift only a copy of the live weights, never the live ones.
 """
 
 from __future__ import annotations
@@ -34,54 +36,35 @@ class NoiseError(ValueError):
     """Noise record misuse: bad filter, wrong target, or reuse."""
 
 
-class GradSet:
-    """Ordered gradients aligned 1:1 with a ParamSet (same names and shapes)."""
-
-    def __init__(self, entries: list[tuple[str, np.ndarray, str]]):
-        self.entries = [(name, np.asarray(arr, dtype=np.float64), kind) for name, arr, kind in entries]
-        self._by_name = {name: arr for name, arr, _ in self.entries}
+class GradSet(dict):
+    """Gradients by parameter name, ``{name: array}`` in parameter order, like
+    a snapshot or the Adam moments. What a dict lacks is here: collecting
+    them from ``backward``, the alignment check and the global norm."""
 
     @classmethod
     def from_backward(cls, params: ParamSet, leaf_grads) -> "GradSet":
         """Collect each parameter's leaf gradient, uncopied (``backward`` returns
         fresh arrays); absent leaves get exact zeros."""
-        entries = []
+        grads = cls()
         for e in params.entries:
             g = leaf_grads.get(e.tensor)
             if g is None:
                 g = np.zeros(e.tensor.shape)
             elif g.shape != e.tensor.shape:
                 raise AlignmentError(f"gradient for {e.name} has shape {g.shape}")
-            entries.append((e.name, g, e.kind))
-        return cls(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, name: str) -> np.ndarray:
-        return self._by_name[name]
-
-    def names(self) -> list[str]:
-        return [name for name, _, _ in self.entries]
-
-    def clone(self) -> "GradSet":
-        return GradSet([(name, arr.copy(), kind) for name, arr, kind in self.entries])
+            grads[e.name] = g
+        return grads
 
     def check_aligned(self, other) -> None:
-        if isinstance(other, ParamSet):
-            pairs = [(e.name, e.tensor.shape) for e in other.entries]
-        else:
-            pairs = [(name, arr.shape) for name, arr, _ in other.entries]
-        mine = [(name, arr.shape) for name, arr, _ in self.entries]
+        arrays = {e.name: e.tensor for e in other.entries} if isinstance(other, ParamSet) else other
+        pairs = [(name, arr.shape) for name, arr in arrays.items()]
+        mine = [(name, arr.shape) for name, arr in self.items()]
         if mine != pairs:
             raise AlignmentError(f"gradient entries {mine} do not align with {pairs}")
 
     def global_norm(self) -> float:
         """L2 norm over the concatenation of all entries, fixed summation order."""
-        total = math.fsum(float(np.dot(arr.ravel(), arr.ravel())) for _, arr, _ in self.entries)
+        total = math.fsum(float(np.dot(arr.ravel(), arr.ravel())) for arr in self.values())
         return math.sqrt(total)
 
 
@@ -89,13 +72,11 @@ def aggregate_gradients(parts: list[GradSet]) -> GradSet:
     """Elementwise sum across gradient sets, in the given part order."""
     if not parts:
         raise ValueError("aggregate_gradients needs at least one part")
-    first = parts[0]
+    out = GradSet({name: arr.copy() for name, arr in parts[0].items()})
     for other in parts[1:]:
-        other.check_aligned(first)
-    out = first.clone()
-    for other in parts[1:]:
-        for (_, acc, _), (_, arr, _) in zip(out.entries, other.entries):
-            acc += arr
+        other.check_aligned(out)
+        for name, arr in other.items():
+            out[name] += arr
     return out
 
 
@@ -144,7 +125,8 @@ def adam_step(params: ParamSet, grads: GradSet, state: AdamState, lr: float) -> 
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    for e, (_, g, _) in zip(params.entries, grads):
+    for e in params.entries:
+        g = grads[e.name]
         m = state.m[e.name]
         v = state.v[e.name]
         m *= ADAM_BETA1
@@ -160,49 +142,43 @@ def adam_step(params: ParamSet, grads: GradSet, state: AdamState, lr: float) -> 
 # ---------------------------------------------------------------------------
 
 
+def _unit_axes(arr: np.ndarray) -> tuple[int, ...] | None:
+    """The axes one unit spans: None for a bias (<= 1-D), one whole unit;
+    (0,) for a dense weight (in, out), one unit per output column; the
+    trailing axes for a conv kernel (F, C, kh, kw), one unit per filter."""
+    if arr.ndim <= 1:
+        return None
+    return (0,) if arr.ndim == 2 else tuple(range(1, arr.ndim))
+
+
 def gradient_centralize(grads: GradSet) -> GradSet:
-    """Subtract the per-filter (conv) or per-output-unit (dense) mean from
-    weight gradients; bias and other gradients pass through untouched."""
-    entries = []
-    for name, arr, kind in grads.entries:
-        if kind == "conv":
-            arr = arr - arr.mean(axis=(1, 2, 3), keepdims=True)
-        elif kind == "dense":
-            arr = arr - arr.mean(axis=0, keepdims=True)
-        else:
-            arr = arr.copy()
-        entries.append((name, arr, kind))
-    return GradSet(entries)
+    """Subtract each unit's mean from a weight gradient (``_unit_axes``);
+    bias gradients pass through, copied."""
+    out = GradSet()
+    for name, arr in grads.items():
+        axes = _unit_axes(arr)
+        out[name] = arr.copy() if axes is None else arr - arr.mean(axis=axes, keepdims=True)
+    return out
 
 
 def _unit_norms(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim <= 1:
-        return np.sqrt(np.sum(arr * arr, keepdims=True))
-    if arr.ndim == 2:  # dense weights (in, out): one unit per output column
-        return np.sqrt(np.sum(arr * arr, axis=0, keepdims=True))
-    axes = tuple(range(1, arr.ndim))  # conv kernels (F, C, kh, kw): per filter
-    return np.sqrt(np.sum(arr * arr, axis=axes, keepdims=True))
+    return np.sqrt(np.sum(arr * arr, axis=_unit_axes(arr), keepdims=True))
 
 
 def adaptive_gradient_clip(params: ParamSet, grads: GradSet, lam: float = 0.01) -> GradSet:
-    """Per unit, rescale g so that ||g|| <= lam * max(||w||, 1e-3)."""
+    """Per unit (``_unit_axes``), rescale g so that ||g|| <= lam * max(||w||, 1e-3)."""
     if lam <= 0:
         raise ValueError(f"clip ratio must be positive, got {lam}")
     grads.check_aligned(params)
-    entries = []
-    for e, (name, g, kind) in zip(params.entries, grads):
-        wn = np.maximum(_unit_norms(e.tensor.data), AGC_EPS)
+    out = GradSet()
+    for e in params.entries:
+        g = grads[e.name]
         gn = _unit_norms(g)
-        bound = lam * wn
-        mask = gn > bound
-        if np.any(mask):
-            factor = np.ones_like(gn)
-            np.divide(bound, gn, out=factor, where=mask)
-            g = g * factor
-        else:
-            g = g.copy()
-        entries.append((name, g, kind))
-    return GradSet(entries)
+        bound = lam * np.maximum(_unit_norms(e.tensor.data), AGC_EPS)
+        factor = np.ones_like(gn)  # g * 1.0 is g, bit for bit, in the units inside the bound
+        np.divide(bound, gn, out=factor, where=gn > bound)
+        out[e.name] = g * factor
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ filters or "gradient-all"). ``Strategy.step`` runs every id through one order:
 2. the gradient transform, or the sam ascent (the gradient at a copy of w
    moved rho along the normalized gradient);
 3. with teachers: a transient update of a copy of w, on an optimizer clone,
-   gives the self-teacher weights w_up. The teachers share the forward of the
-   layers none of them shifts: it is recorded once, at w_up, on one tape.
-   Once the draws have ended, each teacher shifts the copy by its drawn
-   arrays (``add_noise``), records its head (the layers from the first
-   shifted one on) on that tape, differentiates the KL between the
-   pre-update logits (held constant) and its own logits, and removes its
-   shift; the task and KL gradients are summed;
+   gives the self-teacher weights w_up. The teachers share the forward up to
+   the first layer any of them shifts, recorded once, at w_up, on one tape
+   (for a teacher of every entry, only the input's entry transform). Once the
+   draws have ended, each teacher shifts the copy by its drawn arrays
+   (``add_noise``), records its head from that layer on, on that tape,
+   differentiates the KL between the pre-update logits (held constant) and
+   its own logits, and removes its shift; the task and KL gradients, each
+   ``{name: array}``, are summed name by name;
 4. one update of the live weights with the persistent optimizer state, from
    w_up (copied in) or, with rollback_to_w, from w. Nothing moves them before
    it, so a step that raises leaves them as they were.
@@ -198,14 +199,12 @@ class Strategy:
                 kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
                 # the teachers share the forward of the layers before the first one they shift
                 split = _first_shifted_layer(teacher, targets)
-                tape, x = Tape(), Tensor(batch.images)
-                if split is not None:
-                    with tape:
-                        x = teacher.forward(x, stop=split)
+                with Tape() as tape:
+                    x = teacher.forward(Tensor(batch.images), stop=split)
                 drawn()
                 for i, (layer_filter, shift) in enumerate(zip(teachers, noise)):
                     if layer_filter == "gradient-all":  # a noisy ascent step
-                        shift = {n: ascent_lr * (g + shift[n]) for n, g, _ in grads}
+                        shift = {n: ascent_lr * (g + shift[n]) for n, g in grads.items()}
                     record = add_noise(teacher.params, shift)
                     if trace is not None:
                         trace.records.append(record)
@@ -261,14 +260,11 @@ def _draw(rng: np.random.Generator, sigma: float, shapes: dict) -> dict[str, np.
     return {name: rng.normal(0.0, sigma, shape) for name, shape in shapes.items()}
 
 
-def _first_shifted_layer(model: Model, targets: list[dict[str, tuple]]) -> str | None:
+def _first_shifted_layer(model: Model, targets: list[dict[str, tuple]]) -> str:
     """The first layer, in forward order, with an entry in any teacher's
-    ``targets``; None when it is the first layer, so the teachers share no
-    prefix. Every teacher's forward runs the same ops before that layer."""
+    ``targets``. Every teacher's forward runs the same ops before it."""
     shifted = {model.params.entry(name).layer for names in targets for name in names}
-    layers = model.layers()
-    first = next(layer for layer in layers if layer in shifted)
-    return None if first == layers[0] else first
+    return next(layer for layer in model.layers() if layer in shifted)
 
 
 def sam_point(model: Model, grads: GradSet, rho: float) -> Model | None:

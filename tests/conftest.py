@@ -43,7 +43,7 @@ def total_count(params: ParamSet) -> int:
 
 
 def zero_grads(params: ParamSet) -> GradSet:
-    return GradSet([(e.name, np.zeros(e.tensor.shape), e.kind) for e in params.entries])
+    return GradSet({e.name: np.zeros(e.tensor.shape) for e in params.entries})
 
 
 def finite_diff_grads(loss_fn, params: ParamSet, h: float = 1e-5) -> dict[str, np.ndarray]:

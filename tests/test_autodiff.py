@@ -452,7 +452,7 @@ class TestDeterminism:
         loss1, g1 = run()
         loss2, g2 = run()
         assert loss1 == loss2
-        for (n1, a1, _), (n2, a2, _) in zip(g1, g2):
+        for (n1, a1), (n2, a2) in zip(g1.items(), g2.items()):
             assert n1 == n2
             assert np.array_equal(a1, a2)
 

@@ -253,6 +253,19 @@ def test_probe_on_data_of_another_size_prints_one_error_line(tmp_path, capsys, t
     assert fault in err
 
 
+def test_probe_on_data_with_more_classes_than_the_checkpoint_prints_one_error_line(tmp_path,
+                                                                                  capsys):
+    checkpoint = tmp_path / "two-class.ckpt"
+    save_checkpoint(build_simple_cnn((1, 8, 8), 2, seed=0).params, checkpoint)
+    data = tmp_path / "data"
+    synth.generate_dataset_files(data, 4, 10, 10, 8, 8, seed=0)
+    top = load_idx(data / "t10k-images-idx3-ubyte", data / "t10k-labels-idx1-ubyte").labels.max()
+    assert top >= 2
+    assert cli.main(["probe", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
+    message = f"--data {data} has label {top}, but {checkpoint} has 2 classes"
+    assert capsys.readouterr() == ("", f"sadtlab: error: {message}\n")
+
+
 def test_simple_cnn_on_small_images_prints_one_error_line(tmp_path, capsys):
     paths = synth.generate_dataset_files(tmp_path / "data", 8, 4, 3, 4, 4, seed=0)
     config = tmp_path / "small.ini"

@@ -102,7 +102,15 @@ class TestCheckpointNoModelRuns:
         assert cli.main(["probe", "--checkpoint", str(cut), "--data", str(tmp_path / "data")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"sadtlab: error: {message}\n"
+        assert captured.err == f"sadtlab: error: {cut}: {message}\n"
+
+    def test_cli_probe_names_the_against_checkpoint(self, cut_at, tmp_path, capsys):
+        synth.generate_dataset_files(tmp_path / "data", 4, 4, 3, 8, 8, seed=1)
+        whole, cut = cut_at(12), cut_at(11)
+        argv = ["probe", "--checkpoint", str(whole), "--data", str(tmp_path / "data"),
+                "--against", str(cut)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"sadtlab: error: {cut}: layer dense3 lacks dense3.bias\n")
 
     def test_a_cut_after_whole_layers_still_rebuilds(self, cut_at):
         # conv1-dense1: v1 has no entry count, so this is left for checkpoint v2

@@ -21,6 +21,7 @@ from sadtlab.optim import (
     gradient_centralize,
     noise_targets,
     subtract_noise,
+    _unit_axes,
 )
 
 from conftest import zero_grads
@@ -28,9 +29,7 @@ from conftest import zero_grads
 
 def random_gradset(params: ParamSet, seed: int, scale: float = 1.0) -> GradSet:
     gen = np.random.default_rng(seed)
-    return GradSet(
-        [(e.name, gen.normal(scale=scale, size=e.tensor.shape), e.kind) for e in params]
-    )
+    return GradSet({e.name: gen.normal(scale=scale, size=e.tensor.shape) for e in params})
 
 
 class TestCosineLr:
@@ -65,7 +64,7 @@ class TestAdamStep:
 
     def test_first_step_is_signed_lr(self):
         params = ParamSet.from_named_arrays([("dense1.weight", np.array([[1.0]]))])
-        grads = GradSet([("dense1.weight", np.array([[0.5]]), "dense")])
+        grads = GradSet({"dense1.weight": np.array([[0.5]])})
         adam_step(params, grads, AdamState(params), lr=0.01)
         delta = params.get("dense1.weight").data[0, 0] - 1.0
         assert delta == pytest.approx(-0.01, abs=1e-9)
@@ -92,24 +91,24 @@ class TestGradientCentralize:
     def test_dense_row_subtracts_mean(self):
         # dense weights are (in, out): per output unit means over inputs
         params = ParamSet.from_named_arrays([("dense1.weight", np.zeros((3, 1)))])
-        grads = GradSet([("dense1.weight", np.array([[1.0], [2.0], [3.0]]), "dense")])
+        grads = GradSet({"dense1.weight": np.array([[1.0], [2.0], [3.0]])})
         out = gradient_centralize(grads)
         assert np.array_equal(out.get("dense1.weight"), [[-1.0], [0.0], [1.0]])
 
     def test_constant_slice_becomes_zero(self):
-        grads = GradSet([("conv1.weight", np.full((2, 3, 3, 3), 7.0), "conv")])
+        grads = GradSet({"conv1.weight": np.full((2, 3, 3, 3), 7.0)})
         out = gradient_centralize(grads)
         assert np.array_equal(out.get("conv1.weight"), np.zeros((2, 3, 3, 3)))
 
     def test_bias_untouched(self):
         bias = np.array([1.0, 2.0, 4.0])
-        grads = GradSet([("conv1.bias", bias.copy(), "bias")])
+        grads = GradSet({"conv1.bias": bias.copy()})
         out = gradient_centralize(grads)
         assert np.array_equal(out.get("conv1.bias"), bias)
 
     def test_exactly_zero_mean_is_fixed_point(self):
         arr = np.array([[-1.0], [0.0], [1.0]])
-        grads = GradSet([("dense1.weight", arr.copy(), "dense")])
+        grads = GradSet({"dense1.weight": arr.copy()})
         out = gradient_centralize(grads)
         assert np.array_equal(out.get("dense1.weight"), arr)
 
@@ -118,7 +117,8 @@ class TestGradientCentralize:
     def test_centralized_slices_have_tiny_means(self, seed):
         model = build_simple_cnn((1, 8, 8), 3, seed=seed % 11)
         out = gradient_centralize(random_gradset(model.params, seed))
-        for name, arr, kind in out:
+        for name, arr in out.items():
+            kind = model.params.entry(name).kind
             if kind == "conv":
                 means = arr.mean(axis=(1, 2, 3))
             elif kind == "dense":
@@ -127,11 +127,21 @@ class TestGradientCentralize:
                 continue
             assert np.max(np.abs(means)) < 1e-12, name
 
+    @pytest.mark.parametrize("model", [
+        build_simple_cnn((1, 8, 8), 3, seed=0), build_tiny_mlp(5, [4, 3], 2, seed=0),
+    ], ids=["simple_cnn", "tiny_mlp"])
+    def test_each_entry_unit_is_the_one_its_kind_implies(self, model):
+        # gc and agc pick a unit by shape; for every entry these models build,
+        # that is the unit its kind names, so both act as when they read kinds
+        implied = {"conv": (1, 2, 3), "dense": (0,), "bias": None}
+        for e in model.params:
+            assert _unit_axes(e.tensor.data) == implied[e.kind], e.name
+
 
 class TestAdaptiveGradientClip:
     def test_unit_norm_clipped_to_lambda(self):
         params = ParamSet.from_named_arrays([("dense1.weight", np.array([[0.6], [0.8]]))])
-        grads = GradSet([("dense1.weight", np.array([[0.6], [0.8]]), "dense")])
+        grads = GradSet({"dense1.weight": np.array([[0.6], [0.8]])})
         out = adaptive_gradient_clip(params, grads, lam=0.01)
         norm = np.linalg.norm(out.get("dense1.weight"))
         assert norm == pytest.approx(0.01, abs=1e-12)
@@ -139,19 +149,19 @@ class TestAdaptiveGradientClip:
     def test_inside_bound_unchanged(self):
         params = ParamSet.from_named_arrays([("dense1.weight", np.array([[3.0], [4.0]]))])
         g = np.array([[0.003], [0.004]])
-        grads = GradSet([("dense1.weight", g.copy(), "dense")])
+        grads = GradSet({"dense1.weight": g.copy()})
         out = adaptive_gradient_clip(params, grads, lam=0.01)
         assert np.array_equal(out.get("dense1.weight"), g)
 
     def test_zero_gradient_passes_through(self):
         params = ParamSet.from_named_arrays([("dense1.weight", np.array([[1.0], [1.0]]))])
-        grads = GradSet([("dense1.weight", np.zeros((2, 1)), "dense")])
+        grads = GradSet({"dense1.weight": np.zeros((2, 1))})
         out = adaptive_gradient_clip(params, grads, lam=0.01)
         assert np.array_equal(out.get("dense1.weight"), np.zeros((2, 1)))
 
     def test_tiny_weight_norm_floored(self):
         params = ParamSet.from_named_arrays([("dense1.weight", np.array([[1e-9]]))])
-        grads = GradSet([("dense1.weight", np.array([[1.0]]), "dense")])
+        grads = GradSet({"dense1.weight": np.array([[1.0]])})
         out = adaptive_gradient_clip(params, grads, lam=0.01)
         # bound = lam * max(||w||, 1e-3) = 1e-5
         assert out.get("dense1.weight")[0, 0] == pytest.approx(1e-5, rel=1e-12)
@@ -164,7 +174,7 @@ class TestAdaptiveGradientClip:
         out = adaptive_gradient_clip(model.params, random_gradset(model.params, seed, 5.0), lam)
         from sadtlab.optim import _unit_norms, AGC_EPS
 
-        for e, (name, arr, _) in zip(model.params, out):
+        for e, (name, arr) in zip(model.params, out.items()):
             bound = lam * np.maximum(_unit_norms(e.tensor.data), AGC_EPS)
             assert np.all(_unit_norms(arr) <= bound + 1e-12), name
 
@@ -261,7 +271,7 @@ class TestShiftParams:
     def ascent_shifts(params, seed):
         gen = np.random.default_rng(seed)
         grads = random_gradset(params, seed)
-        return {n: 0.001 * (g + gen.normal(0.0, 0.01, size=g.shape)) for n, g, _ in grads}
+        return {n: 0.001 * (g + gen.normal(0.0, 0.01, size=g.shape)) for n, g in grads.items()}
 
     def test_shift_then_subtract_restores_bitwise(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=2)
@@ -325,21 +335,21 @@ class TestAggregateGradients:
         model = build_tiny_mlp(3, [4], 2, seed=0)
         g = random_gradset(model.params, 0)
         out = aggregate_gradients([g, zero_grads(model.params)])
-        for name, arr, _ in out:
+        for name, arr in out.items():
             assert np.array_equal(arr, g.get(name))
 
     def test_double_counts(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
         g = random_gradset(model.params, 0)
         out = aggregate_gradients([g, g])
-        for name, arr, _ in out:
+        for name, arr in out.items():
             assert np.array_equal(arr, 2.0 * g.get(name))
 
     def test_three_way_sum_matches_scalar_oracle(self):
         model = build_tiny_mlp(2, [3], 2, seed=0)
         parts = [random_gradset(model.params, s) for s in (1, 2, 3)]
         out = aggregate_gradients(parts)
-        for name, arr, _ in out:
+        for name, arr in out.items():
             flats = [p.get(name).ravel() for p in parts]
             for i in range(arr.size):
                 expected = flats[0][i] + flats[1][i] + flats[2][i]
@@ -350,7 +360,7 @@ class TestAggregateGradients:
         parts = [random_gradset(model.params, s) for s in (1, 2, 3)]
         a = aggregate_gradients(parts)
         b = aggregate_gradients(parts)
-        for (n1, a1, _), (_, a2, _) in zip(a, b):
+        for (n1, a1), a2 in zip(a.items(), b.values()):
             assert np.array_equal(a1, a2), n1
 
     def test_empty_list_rejected(self):
@@ -368,7 +378,7 @@ class TestGradSet:
     def test_global_norm_matches_flat_norm(self):
         model = build_tiny_mlp(3, [4], 2, seed=0)
         g = random_gradset(model.params, 3)
-        flat = np.concatenate([arr.ravel() for _, arr, _ in g])
+        flat = np.concatenate([arr.ravel() for arr in g.values()])
         assert g.global_norm() == pytest.approx(float(np.linalg.norm(flat)), rel=1e-12)
 
     def test_from_backward_alignment(self):
@@ -378,4 +388,4 @@ class TestGradSet:
             loss = model.forward(x).sum()
         g = GradSet.from_backward(model.params, backward(loss))
         g.check_aligned(model.params)
-        assert g.names() == model.params.names()
+        assert list(g) == model.params.names()

@@ -132,7 +132,8 @@ class TestGcAgc:
         # the gc strategy centralizes before the update; replicate and check the invariant
         grads = task_grads(model, batch)
         out = gradient_centralize(grads)
-        for name, arr, kind in out:
+        for name, arr in out.items():
+            kind = model.params.entry(name).kind
             if kind == "conv":
                 assert np.max(np.abs(arr.mean(axis=(1, 2, 3)))) < 1e-12
             elif kind == "dense":
@@ -146,7 +147,7 @@ class TestSam:
         from sadtlab.optim import GradSet
 
         params = ParamSet.from_named_arrays([("dense1.weight", np.array([[1.0], [1.0]]))])
-        grads = GradSet([("dense1.weight", np.array([[3.0], [4.0]]), "dense")])
+        grads = GradSet({"dense1.weight": np.array([[3.0], [4.0]])})
         norm = grads.global_norm()
         assert norm == 5.0
         params.add_scaled(grads, 0.05 / norm)
@@ -388,7 +389,7 @@ class TestSadtV3:
         (record,) = trace.records  # one shift record for the one teacher
         assert record.names() == model.params.names()
         assert record.consumed
-        for name, g, _ in grads:
+        for name, g in grads.items():
             noise = rng.normal(0.0, 0.01, size=g.shape)
             assert np.all(noise != 0.0)
             assert np.array_equal(record.noise(name), 0.001 * (g + noise)), name
