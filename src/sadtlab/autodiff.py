@@ -15,9 +15,8 @@ then, however often it is walked. ``tape.nodes`` itself is kept.
 Each ``with tape:`` block is a recording session. One rule frees a recorded
 conv's im2col columns, its largest buffer: a conv recorded in its tape's
 latest session drops them as soon as its kernel gradient is computed; a conv
-of an earlier session, such as a prefix that several heads share, keeps them
-until its graph is released. A conv walked again after the drop gathers them
-again from its input, with the same bytes.
+of an earlier session keeps them until its graph is released. A walk that
+needs freed columns raises ``TapeError``: shared layers go in their own session.
 
 Image tensors are channels last (N x H x W x C) throughout the convolution
 and pooling ops: the im2col matmul produces its rows in that order, so a
@@ -63,8 +62,8 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Backward misuse: non-scalar loss, missing tape, a loss walked twice, or a
-    released tape."""
+    """Backward misuse: non-scalar loss, missing tape, a loss walked twice, a
+    released tape, or a conv whose columns an earlier walk freed."""
 
 
 def _as_f64(values) -> np.ndarray:
@@ -91,10 +90,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -116,20 +111,13 @@ class _Node:
         self.index: int = index
 
 
-_ACTIVE = threading.local()
+class _ThreadTapes(threading.local):
+    def __init__(self):
+        self.stack: list[Tape] = []  # the active tapes, innermost last
+        self.walked: Tape | None = None  # released by the next backward of another tape
 
 
-def _tape_stack() -> list:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
-
-
-def _current_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_ACTIVE = _ThreadTapes()
 
 
 class Tape:
@@ -140,8 +128,8 @@ class Tape:
     it; each entry starts a recording session at the current node count, and
     ``session`` holds the latest one's first node index. No later session
     has recorded a loss over the nodes from there on, so a conv among them
-    frees its columns when walked. Single-threaded by construction
-    (thread-local stack).
+    frees its columns when walked: shared layers go in a session of their
+    own. Single-threaded by construction (thread-local stack).
     """
 
     def __init__(self):
@@ -152,11 +140,11 @@ class Tape:
 
     def __enter__(self) -> "Tape":
         self.session = len(self.nodes)
-        _tape_stack().append(self)
+        _ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _ACTIVE.stack.pop()
         assert popped is self
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn, needs) -> None:
@@ -172,7 +160,7 @@ def _tracked(t: Tensor, tape: Tape) -> bool:
 def _recording(parents: tuple[Tensor, ...]) -> tuple[Tape, tuple[bool, ...]] | None:
     """The tape that records an op over ``parents``, with which parents need a
     gradient; None when no active tape tracks any of them."""
-    tape = _current_tape()
+    tape = _ACTIVE.stack[-1] if _ACTIVE.stack else None
     needs = () if tape is None else tuple(_tracked(p, tape) for p in parents)
     return (tape, needs) if any(needs) else None
 
@@ -192,7 +180,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     from the loss. Leaves not on any path to the loss are simply absent.
     During the walk, a conv of the tape's latest recording session frees its
     im2col columns once its kernel gradient is computed; a conv of an earlier
-    session keeps them for the losses of later ones. Afterwards, unless the
+    session keeps them for the losses of later ones; a walk that needs
+    columns an earlier walk freed raises ``TapeError``. Afterwards, unless the
     loss is on the tape walked last, it releases that tape's graph; this
     tape's graph is released by the next walk of another.
     """
@@ -229,7 +218,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     # OS and the next pass faults it in again. The older graph freed here sits
     # below the newer pass's buffers in the heap and is reused warm (28x28,
     # batch 64: 10.7k-21k minor faults per baseline/sadt step against 0-3.6k).
-    previous = getattr(_ACTIVE, "walked", None)
+    previous = _ACTIVE.walked
     if previous is not None and previous is not tape:
         for node in previous.nodes:
             node.parents = ()
@@ -534,8 +523,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     the last. Whole-batch columns are written only when the kernel gradient
     will read them. The kernel gradient drops them when the conv's node is in
     its tape's latest recording session (``Tape.session``); a conv of an
-    earlier session keeps them until its graph is released, and a conv walked
-    again after the drop gathers them again with the same blocks.
+    earlier session keeps them until its graph is released. Each conv gathers
+    its columns once: a kernel-gradient walk after the drop raises
+    ``TapeError``, so layers several losses share go in their own session.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 operands, got {x.shape} and {kernel.shape}")
@@ -576,14 +566,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         gm = g.reshape(-1, f)
         gx = gk = gb = None
         if needs[1]:
-            if cols is None:  # dropped by an earlier walk: gather the same bytes again
-                cols = np.empty((n * hw, ckk))
-
-                def regather(lo, hi):
-                    for _ in _im2col_blocks(x.data, k, lo, hi, block, cols):
-                        pass
-
-                _lanes(n, work, regather, align)
+            if cols is None:
+                raise TapeError("an earlier walk of its session freed this conv's columns; "
+                                "layers several losses share go in their own `with tape:` session")
             gk = np.empty(kernel.data.shape)
             gk_rows = gk.reshape(f, ckk)
 

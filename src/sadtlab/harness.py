@@ -179,10 +179,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     pass supplies the current logits, so no copy of the initial model is
     kept. Writes metrics.csv, resolved.ini, env.json, summary.json,
     batch_hashes.txt, and the final checkpoint into the output directory,
-    which is made only once the data has loaded; metrics.csv is also
-    rewritten at the end of every epoch, so an interrupted run keeps the
-    rows of its finished epochs. A non-finite loss aborts the run after
-    saving the weights before the failing step and flushing the log.
+    which is made only once the data has loaded. The logs (``_write_logs``)
+    are also rewritten at the end of every epoch, so an interrupted run keeps
+    its finished epochs' logs, but no summary.json. A non-finite loss aborts
+    the run after saving the weights before the failing step and the logs.
     """
     opts = cfg.train
     seed, batch_size, epochs = opts.seed, opts.batch_size, opts.epochs
@@ -241,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
                 log.rows.append(
                     RunRow(step, epoch, "probe", sharpness=sharp.value, divergence=div.value)
                 )
-            (out / METRICS_FILE).write_text(log.csv_text())  # an interrupted run keeps its rows
+            _write_logs(log, out)  # an interrupted run keeps its finished epochs' logs
     except NonFiniteLossError as exc:
         save_checkpoint(model.params, out / ABORT_CHECKPOINT_FILE)
         _write_outputs(log, out, aborted=str(exc))
@@ -261,10 +261,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     return log
 
 
-def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
-    cfg = log.config
+def _write_logs(log: RunLog, out: Path) -> None:
     (out / METRICS_FILE).write_text(log.csv_text())
     (out / HASHES_FILE).write_text("\n".join(log.batch_hashes) + ("\n" if log.batch_hashes else ""))
+    if log.config.output.wall_times:
+        lines = ["step,wall_ms", *(f"{s},{ms:.3f}" for s, ms in log.wall_times)]
+        (out / WALL_TIMES_FILE).write_text("\n".join(lines) + "\n")
+
+
+def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
+    cfg = log.config
+    _write_logs(log, out)
     hash_digest = hashlib.sha256("".join(log.batch_hashes).encode()).hexdigest()
     summary = {
         "version": __version__,
@@ -282,10 +289,6 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
         "aborted": aborted,
     }
     (out / SUMMARY_FILE).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    if cfg.output.wall_times:
-        lines = ["step,wall_ms"]
-        lines += [f"{s},{ms:.3f}" for s, ms in log.wall_times]
-        (out / WALL_TIMES_FILE).write_text("\n".join(lines) + "\n")
 
 
 class CompareError(ValueError):

@@ -74,9 +74,6 @@ class ParamSet:
             entries.append(ParamEntry(name, Tensor(arr, requires_grad=True), kind, layer))
         return cls(entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -260,8 +257,9 @@ def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = No
     The forward rule follows from the layers (see :class:`Model`). The input
     shape is inferred from the first layer when not given (conv kernels fix
     channels only, so H and W are required for CNNs). Parameters that no
-    model runs, with no dense layer or a layer without its weight or bias,
-    raise ``CheckpointError``.
+    model runs raise ``CheckpointError``: no dense layer, a layer without its
+    weight or bias, an entry no layer runs, or a weight and bias of a shape
+    no conv or dense layer has.
     """
     if not params.layers("dense"):
         raise CheckpointError("no model runs parameters without a dense layer")
@@ -269,12 +267,21 @@ def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = No
         missing = {f"{layer}.weight", f"{layer}.bias"} - set(params.names())
         if missing:
             raise CheckpointError(f"layer {layer} lacks {', '.join(sorted(missing))}")
-    if params.layers("conv"):
+    convs = params.layers("conv")
+    runs = convs + params.layers("dense")
+    stray = set(params.names()) - {f"{layer}.{r}" for layer in runs for r in ("weight", "bias")}
+    if stray:
+        raise CheckpointError(f"no layer runs {', '.join(sorted(stray))}")
+    for layer in runs:
+        w, b = params.get(f"{layer}.weight").shape, params.get(f"{layer}.bias").shape
+        rank, out = (4, 0) if layer in convs else (2, 1)  # F x C x k x k, or in x out
+        if len(w) != rank or b != (w[out],):
+            raise CheckpointError(f"layer {layer} has weight {w} and bias {b}")
+    if convs:
         if input_shape is None:
             raise ValueError("input_shape (C, H, W) is required to rebuild a conv model")
         return Model(params, tuple(int(v) for v in input_shape))
-    first = params.layers("dense")[0]
-    return Model(params, (params.get(f"{first}.weight").shape[0],))
+    return Model(params, (params.get(f"{runs[0]}.weight").shape[0],))
 
 
 # ---------------------------------------------------------------------------

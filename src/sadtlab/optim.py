@@ -189,16 +189,11 @@ def adaptive_gradient_clip(params: ParamSet, grads: GradSet, lam: float = 0.01) 
 @dataclass
 class NoiseRecord:
     """A shift added in place to named parameters, kept for exact removal:
-    each entry holds the shift and the values before it. Single-use."""
+    ``shifts`` and the values ``before`` it, each ``{name: array}``. Single-use."""
 
-    entries: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    shifts: dict[str, np.ndarray] = field(default_factory=dict)
+    before: dict[str, np.ndarray] = field(default_factory=dict)
     consumed: bool = False
-
-    def names(self) -> list[str]:
-        return list(self.entries)
-
-    def noise(self, name: str) -> np.ndarray:
-        return self.entries[name][0]
 
 
 def noise_targets(params: ParamSet, layer_filter: str) -> dict[str, np.ndarray]:
@@ -223,8 +218,8 @@ def add_noise(params: ParamSet, shifts: dict[str, np.ndarray]) -> NoiseRecord:
     for name, shift in shifts.items():
         if name not in arrays or shift.shape != arrays[name].shape:
             raise NoiseError(f"no parameter {name!r} of shape {shift.shape}")
-        record.entries[name] = (shift, arrays[name].copy())
-    for name, (shift, _) in record.entries.items():
+        record.shifts[name], record.before[name] = shift, arrays[name].copy()
+    for name, shift in record.shifts.items():
         arrays[name] += shift
     return record
 
@@ -238,9 +233,9 @@ def subtract_noise(params: ParamSet, record: NoiseRecord) -> None:
     if record.consumed:
         raise NoiseError("noise record already applied (single-use)")
     arrays = noise_targets(params, "all")
-    for name, (shift, before) in record.entries.items():
-        if name not in arrays or not np.array_equal(arrays[name], before + shift):
+    for name, shift in record.shifts.items():
+        if name not in arrays or not np.array_equal(arrays[name], record.before[name] + shift):
             raise NoiseError(f"target {name} is not in the state this record was taken from")
-    for name, (_, before) in record.entries.items():
+    for name, before in record.before.items():
         arrays[name][...] = before
     record.consumed = True

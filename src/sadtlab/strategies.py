@@ -38,7 +38,7 @@ ascent_lr times the task gradient plus N(0, sigma_g^2), to every entry.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,23 +111,20 @@ class StepReport:
     flags: tuple[str, ...] = ()
 
 
+@dataclass
 class StepTrace:
     """Optional instrumentation: named snapshots of the shifted copies taken
     mid-step ("perturbed", "w_up", "aux_<i>", "rollback_<i>"), one shift record
     per teacher in teacher order, and the gradient fed to the final update."""
 
-    def __init__(self):
-        self.marks: dict[str, dict[str, np.ndarray]] = {}
-        self.records: list[NoiseRecord] = []
-        self.final_grads: GradSet | None = None
-
-    def mark(self, name: str, params) -> None:
-        self.marks[name] = params.snapshot()
+    marks: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    records: list[NoiseRecord] = field(default_factory=list)
+    final_grads: GradSet | None = None
 
 
-def _mark(trace: StepTrace | None, name: str, params) -> None:
+def _mark(trace: StepTrace | None, name: str, params: ParamSet) -> None:
     if trace is not None:
-        trace.mark(name, params)
+        trace.marks[name] = params.snapshot()
 
 
 @dataclass

@@ -39,7 +39,7 @@ def col2im(gcols: np.ndarray, xshape: tuple[int, ...], k: int) -> np.ndarray:
 
 
 def total_count(params: ParamSet) -> int:
-    return sum(e.tensor.size for e in params.entries)
+    return sum(e.tensor.data.size for e in params.entries)
 
 
 def zero_grads(params: ParamSet) -> GradSet:

@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -264,6 +265,42 @@ class TestBackward:
         with pytest.raises(TapeError, match="already ran"):
             backward(loss)
 
+    def test_another_threads_backward_leaves_this_threads_graph(self, rng):
+        """Each thread keeps its own latest walked tape: a backward on another
+        thread releases nothing of this one's, and this thread's next does."""
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = mul(w, w)
+                loss = relu(hidden).sum()
+            probe = weakref.ref(hidden.data)
+            del hidden
+            backward(loss)
+
+            released = []
+
+            def other_thread():
+                tapes = [Tape(), Tape()]
+                for other in tapes:
+                    with other:
+                        backward(mul(w, w).sum())
+                released.extend(other.released for other in tapes)
+
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert released == [True, False]  # that thread's second walk released its first tape
+            assert probe() is not None and not tape.released
+            with Tape():
+                backward(mul(w, w).sum())
+            assert probe() is None and tape.released
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestTapeWalkedOncePerLoss:
     """Heads recorded over one shared prefix, each walked from its own loss."""
@@ -303,8 +340,9 @@ class TestTapeWalkedOncePerLoss:
         assert separate[0] != separate[1]  # the heads really differ
 
     def test_walking_a_loss_twice_still_raises(self, tiny_conv_model, rng):
-        with Tape() as tape:
+        with Tape() as tape:  # the shared prefix in a session of its own
             prefix = tiny_conv_model.forward(Tensor(rng.uniform(size=(2, 1, 8, 8))), stop="dense1")
+        with tape:
             first = tiny_conv_model.forward(prefix, start="dense1").sum()
         backward(first)
         with tape:
@@ -319,8 +357,9 @@ class TestTapeWalkedOncePerLoss:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            with Tape() as tape:
+            with Tape() as tape:  # the shared prefix in a session of its own
                 prefix = model.forward(Tensor(rng.uniform(size=(2, 1, 8, 8))), stop="dense1")
+            with tape:
                 first = model.forward(prefix, start="dense1").sum()
             probe = weakref.ref(prefix.data)
             backward(first)

@@ -12,7 +12,8 @@ off, where one lane walks every block.
 A recorded conv drops its whole-batch columns once its kernel gradient is
 computed when it was recorded in its tape's latest ``with tape:`` session; a
 conv of an earlier session keeps them until its graph is released, and a
-conv walked again after the drop gathers them again, with the same bytes.
+conv walked again after the drop raises ``TapeError`` without gathering them
+again.
 In training and in the sharpness probe, each conv's images are gathered
 once per conv forward: no walk gathers them again.
 """
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from sadtlab import autodiff
-from sadtlab.autodiff import Tape, Tensor, backward, conv2d, softmax_cross_entropy
+from sadtlab.autodiff import Tape, TapeError, Tensor, backward, conv2d, softmax_cross_entropy
 from sadtlab.data import MixedBatch
 from sadtlab.metrics import estimate_sharpness
 from sadtlab.nn import build_simple_cnn
@@ -272,23 +273,22 @@ def test_heads_over_a_prefix_of_its_own_session_gather_it_once(lanes, monkeypatc
     assert counting.images_gathered() == {1: 32, 32: 32, 64: 64}
 
 
-def test_a_conv_walked_after_its_columns_were_dropped_gathers_them_again(lanes, monkeypatch):
+def test_a_conv_walked_after_its_columns_were_dropped_raises(lanes, monkeypatch):
     model, x, targets = _model_and_batch()
-    fresh = _heads(model, x, targets, None)[1]
     counting = _CountingNumpy()
     monkeypatch.setattr(autodiff, "np", counting)
     # the prefix and the first head in one session: the first walk drops the
-    # prefix convs' columns, and the second head's walk gathers them again
+    # prefix convs' columns, and the second head's walk cannot gather them again
     with Tape() as tape:
         prefix = model.forward(Tensor(x), stop="conv3")
         first = softmax_cross_entropy(model.forward(prefix, start="conv3"), Tensor(targets[0]))
     backward(first)
     with tape:
         second = softmax_cross_entropy(model.forward(prefix, start="conv3"), Tensor(targets[1]))
-    grads = backward(second)
+    with pytest.raises(TapeError, match="earlier walk of its session freed this conv's columns"):
+        backward(second)
     monkeypatch.setattr(autodiff, "np", np)
-    assert [grads[e.tensor].tobytes() for e in model.params] == fresh
-    assert counting.images_gathered() == {1: 64, 32: 64, 64: 64}
+    assert counting.images_gathered() == {1: 32, 32: 32, 64: 64}  # nothing gathered twice
 
 
 def test_a_conv_whose_tape_is_entered_again_before_its_walk_keeps_its_columns(lanes,

@@ -15,7 +15,9 @@ Checkpoint format v1 carries no entry count, so a file cut exactly between
 two entries, or right after the header, still loads: as the shorter set of
 the entries before the cut. Detecting that is left for checkpoint v2. A
 model is rebuilt only from whole layers up to a dense one: ``probe`` fails
-in one line on a cut with no dense layer or with a weight but not its bias.
+in one line on a cut with no dense layer or with a weight but not its bias,
+and on whole files with an entry no layer runs or a weight or bias of a shape
+no layer has.
 """
 
 from pathlib import Path
@@ -28,8 +30,8 @@ from hypothesis import strategies as st
 from sadtlab import cli, synth
 from sadtlab.data import CIFAR_RECORD_BYTES, DataFormatError, load_cifar_binary, load_idx
 from sadtlab.nn import (
-    CHECKPOINT_MAGIC, CheckpointError, build_simple_cnn, load_checkpoint, model_from_params,
-    save_checkpoint,
+    CHECKPOINT_MAGIC, CheckpointError, ParamSet, build_simple_cnn, load_checkpoint,
+    model_from_params, save_checkpoint,
 )
 
 
@@ -103,6 +105,20 @@ class TestCheckpointNoModelRuns:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"sadtlab: error: {cut}: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"dense3.weight": np.array(1.0)}, "layer dense3 has weight () and bias (3,)"),
+        ({"dense3.bias": np.zeros((3, 1))}, "layer dense3 has weight (128, 3) and bias (3, 1)"),
+        ({"foo.weight": np.ones((2, 2)), "foo.bias": np.ones(2), "dense1.gamma": np.ones(256)},
+         "no layer runs dense1.gamma, foo.bias, foo.weight"),
+    ], ids=["scalar-weight", "column-bias", "stray-entries"])
+    def test_cli_probe_refuses_entries_no_layer_runs(self, tmp_path, capsys, edit, message):
+        synth.generate_dataset_files(tmp_path / "data", 4, 4, 3, 8, 8, seed=1)
+        named = {e.name: e.tensor.data for e in build_simple_cnn((1, 8, 8), 3, seed=0).params}
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(ParamSet.from_named_arrays(list({**named, **edit}.items())), path)
+        assert cli.main(["probe", "--checkpoint", str(path), "--data", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr() == ("", f"sadtlab: error: {path}: {message}\n")
 
     def test_cli_probe_names_the_against_checkpoint(self, cut_at, tmp_path, capsys):
         synth.generate_dataset_files(tmp_path / "data", 4, 4, 3, 8, 8, seed=1)

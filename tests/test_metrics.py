@@ -5,7 +5,8 @@ and evaluation does not depend on dataset order. Then the probes of
 ``run_experiment``: the divergence column is the one two full forwards of
 both models give, each probe batch costs two forwards per probe plus one
 per run for the initial model, and a run interrupted mid-epoch keeps the
-``metrics.csv`` rows of its finished epochs."""
+``metrics.csv`` rows, batch hashes and wall times of its finished epochs, but
+writes no ``summary.json``."""
 
 import math
 import warnings
@@ -211,3 +212,29 @@ def test_a_run_interrupted_in_an_epoch_keeps_the_rows_of_the_epochs_before(probe
     # the header, eval rows at step 0, epoch 1's steps, its eval rows and its probe
     assert kept.count("\n") == 1 + 2 + 24 // BATCH + 2 + 1
     assert whole.startswith(kept)
+
+
+def test_a_run_interrupted_in_an_epoch_keeps_the_hashes_and_wall_times_before(probe_config,
+                                                                            monkeypatch,
+                                                                            tmp_path):
+    probe_config.output.wall_times = True
+    harness.run_experiment(probe_config)
+    whole = (tmp_path / "run" / harness.HASHES_FILE).read_text().splitlines()
+    probe_config.output.dir = str(tmp_path / "interrupted")
+    steps, step, finished = [0], Strategy.step, 2 * (24 // BATCH)
+
+    def interrupted(self, *args, **kwargs):
+        steps[0] += 1
+        if steps[0] > finished:  # epoch 3's first step
+            raise KeyboardInterrupt
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Strategy, "step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_experiment(probe_config)
+    run = tmp_path / "interrupted"
+    assert (run / harness.HASHES_FILE).read_text().splitlines() == whole[:finished]
+    wall = (run / harness.WALL_TIMES_FILE).read_text().splitlines()
+    assert wall[0] == "step,wall_ms"
+    assert [int(line.split(",")[0]) for line in wall[1:]] == list(range(1, finished + 1))
+    assert not (run / harness.SUMMARY_FILE).exists()  # compare refuses the run loudly

@@ -196,8 +196,8 @@ class TestNoise:
         record = add_noise(model.params, drawn_noise(model.params, 0.0, "all", 0))
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name])
-        for name in record.names():
-            assert np.array_equal(record.noise(name), np.zeros_like(before[name]))
+        for name in record.shifts:
+            assert np.array_equal(record.shifts[name], np.zeros_like(before[name]))
 
     def test_add_then_subtract_restores_bitwise(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=1)
@@ -227,13 +227,13 @@ class TestNoise:
         model = build_simple_cnn((1, 8, 8), 3, seed=0)
         assert list(noise_targets(model.params, "last-dense")) == ["dense3.weight", "dense3.bias"]
         record = add_noise(model.params, drawn_noise(model.params, 0.0001, "last-dense", 0))
-        assert record.names() == ["dense3.weight", "dense3.bias"]
+        assert list(record.shifts) == ["dense3.weight", "dense3.bias"]
 
     def test_last_conv_filter_touches_only_conv3(self):
         model = build_simple_cnn((1, 8, 8), 3, seed=0)
         assert list(noise_targets(model.params, "last-conv")) == ["conv3.weight", "conv3.bias"]
         record = add_noise(model.params, drawn_noise(model.params, 0.0001, "last-conv", 0))
-        assert record.names() == ["conv3.weight", "conv3.bias"]
+        assert list(record.shifts) == ["conv3.weight", "conv3.bias"]
 
     def test_wrong_model_rejected(self):
         a = build_tiny_mlp(3, [4], 2, seed=0)
@@ -278,7 +278,7 @@ class TestShiftParams:
         before = model.params.snapshot()
         shifts = self.ascent_shifts(model.params, 3)
         record = add_noise(model.params, shifts)
-        assert record.names() == model.params.names()
+        assert list(record.shifts) == model.params.names()
         for e in model.params:
             assert np.array_equal(e.tensor.data, before[e.name] + shifts[e.name])
         subtract_noise(model.params, record)

@@ -254,7 +254,7 @@ class TestSadtV1:
             model, batch, AdamState(model.params), lr=0.0001,
             noise_seed=np.random.SeedSequence(3), trace=trace,
         )
-        assert trace.records[0].names() == model.params.names()
+        assert list(trace.records[0].shifts) == model.params.names()
 
     def test_trajectory_determinism(self):
         finals = []
@@ -300,8 +300,8 @@ class TestSadtV2:
             model, batch, AdamState(model.params), 0.0001,
             noise_seed=np.random.SeedSequence(0), trace=trace,
         )
-        assert trace.records[0].names() == ["conv3.weight", "conv3.bias"]
-        assert trace.records[1].names() == ["dense3.weight", "dense3.bias"]
+        assert list(trace.records[0].shifts) == ["conv3.weight", "conv3.bias"]
+        assert list(trace.records[1].shifts) == ["dense3.weight", "dense3.bias"]
 
     def test_both_rollbacks_restore_w_up_bitwise(self):
         model = small_cnn(seed=10)
@@ -387,12 +387,12 @@ class TestSadtV3:
         (child,) = np.random.SeedSequence(0).spawn(1)
         rng = np.random.default_rng(child)
         (record,) = trace.records  # one shift record for the one teacher
-        assert record.names() == model.params.names()
+        assert list(record.shifts) == model.params.names()
         assert record.consumed
         for name, g in grads.items():
             noise = rng.normal(0.0, 0.01, size=g.shape)
             assert np.all(noise != 0.0)
-            assert np.array_equal(record.noise(name), 0.001 * (g + noise)), name
+            assert np.array_equal(record.shifts[name], 0.001 * (g + noise)), name
             expected = trace.marks["w_up"][name] + 0.001 * (g + noise)
             assert np.array_equal(trace.marks["aux_0"][name], expected), name
 
@@ -543,10 +543,10 @@ class TestTeacherNoiseDrawnAhead:
         params_1, state_1, records_1 = _teacher_step(strategy_id)
         assert _bytes(params) == _bytes(params_1)
         assert _bytes(state.m) == _bytes(state_1.m) and _bytes(state.v) == _bytes(state_1.v)
-        assert [r.names() for r in records] == [r.names() for r in records_1]
+        assert [list(r.shifts) for r in records] == [list(r.shifts) for r in records_1]
         for record, record_1 in zip(records, records_1):
-            for name in record.names():
-                assert record.noise(name).tobytes() == record_1.noise(name).tobytes(), name
+            for name in record.shifts:
+                assert record.shifts[name].tobytes() == record_1.shifts[name].tobytes(), name
 
     @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
     def test_each_teacher_draws_from_its_own_spawned_rng_in_teacher_order(self, worker,
@@ -563,13 +563,13 @@ class TestTeacherNoiseDrawnAhead:
         assert len(trace.records) == len(teachers)
         for layer_filter, child, record in zip(teachers, children, trace.records):
             rng = np.random.default_rng(child)
-            for name in record.names():
+            for name in record.shifts:
                 if layer_filter == "gradient-all":
                     g = grads.get(name)
                     expected = 0.003 * (g + rng.normal(0.0, 0.02, size=g.shape))
                 else:
-                    expected = rng.normal(0.0, 0.01, size=record.noise(name).shape)
-                assert np.array_equal(record.noise(name), expected), (layer_filter, name)
+                    expected = rng.normal(0.0, 0.01, size=record.shifts[name].shape)
+                assert np.array_equal(record.shifts[name], expected), (layer_filter, name)
 
     @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
     def test_each_record_names_the_entries_its_filter_selects(self, strategy_id):
@@ -583,7 +583,7 @@ class TestTeacherNoiseDrawnAhead:
         trace = StepTrace()
         Strategy(strategy_id).step(model, small_batch(seed=33), AdamState(model.params), 0.001,
                                    noise_seed=np.random.SeedSequence(7), trace=trace)
-        assert [record.names() for record in trace.records] == expected[strategy_id]
+        assert [list(record.shifts) for record in trace.records] == expected[strategy_id]
 
     @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
     def test_a_non_finite_task_loss_raises_once_the_draw_has_ended(self, worker, monkeypatch,
