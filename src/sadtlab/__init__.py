@@ -10,3 +10,8 @@ __version__ = "0.1.0"
 
 # OpenBLAS splits a matmul's sums by its thread count, so results depend on it
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class InputError(ValueError):
+    """A bad option value, config, data file, checkpoint or run directory: the
+    ``sadtlab`` command prints its message as one line and exits 2."""

@@ -1,4 +1,5 @@
-"""Command-line interface: train, compare, probe, make-data."""
+"""Command-line interface: train, compare, probe, make-data. Bad input (an
+option, config, data file, checkpoint or run directory) gets one line and exit 2."""
 
 from __future__ import annotations
 
@@ -9,10 +10,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import BLAS_THREAD_VARS
+from . import BLAS_THREAD_VARS, InputError
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     """An option value out of its range."""
 
 
@@ -25,12 +26,14 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         "--resolve-config", action="store_true",
         help="print the fully resolved config and exit",
     )
+    p.set_defaults(run=_cmd_train)
 
 
 def _add_compare(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("compare", help="tabulate and chart completed runs")
     p.add_argument("--logs", nargs="+", required=True, help="run output directories")
     p.add_argument("--out", required=True, help="directory for the comparison report")
+    p.set_defaults(run=_cmd_compare)
 
 
 def _add_probe(sub: argparse._SubParsersAction) -> None:
@@ -47,6 +50,7 @@ def _add_probe(sub: argparse._SubParsersAction) -> None:
         "--against", default=None,
         help="optional second checkpoint; reports divergence between the two",
     )
+    p.set_defaults(run=_cmd_probe)
 
 
 def _add_make_data(sub: argparse._SubParsersAction) -> None:
@@ -57,6 +61,7 @@ def _add_make_data(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.35)
+    p.set_defaults(run=_cmd_make_data)
 
 
 def _resolve_probe_data(spec: str):
@@ -94,8 +99,7 @@ def _cmd_train(args) -> int:
 def _cmd_compare(args) -> int:
     from .report import compare_runs
 
-    report = compare_runs(args.logs, args.out)
-    print(report.table_text)
+    print(compare_runs(args.logs, args.out))
     print(f"report written to {Path(args.out)}")
     return 0
 
@@ -188,20 +192,6 @@ def _cmd_make_data(args) -> int:
     return 0
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """What a bad option value, config, data file, checkpoint or run directory
-    raises.
-
-    Imported on demand, so a command loads only the modules it runs.
-    """
-    from .config import ConfigError
-    from .data import DataFormatError
-    from .harness import CompareError
-    from .nn import CheckpointError
-
-    return UsageError, ConfigError, DataFormatError, CheckpointError, CompareError
-
-
 def _pin_blas_threads() -> None:
     """One BLAS thread unless the user chose a count: the thread count changes
     the floats, so one config then gives one set of logs on any machine with
@@ -221,15 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_probe(sub)
     _add_make_data(sub)
     args = parser.parse_args(argv)
-    handlers = {
-        "train": _cmd_train,
-        "compare": _cmd_compare,
-        "probe": _cmd_probe,
-        "make-data": _cmd_make_data,
-    }
-    try:
-        return handlers[args.command](args)
-    except _input_errors() as exc:  # evaluated only once an exception reaches it
+    try:  # each _add_* names its command's handler
+        return args.run(args)
+    except InputError as exc:
         message = str(exc)
     except OSError as exc:  # a missing or unreadable file
         message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"

@@ -16,10 +16,11 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from . import InputError
 from .strategies import PRESETS, Strategy
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Rejected configuration: unknown key, bad value, or missing input."""
 
 
@@ -193,19 +194,3 @@ def resolved_text(cfg: ExperimentConfig) -> str:
             lines.append(f"{f.name} = {_CODECS[f.type][1](getattr(section, f.name))}")
         lines.append("")
     return "\n".join(lines)
-
-
-def config_fingerprint_fields(cfg: ExperimentConfig) -> dict:
-    """The (dataset, model) identity used to decide run comparability.
-
-    The keys predate the per-section config and stay as they are, since
-    every run's ``dataset_fingerprint`` hashes them.
-    """
-    return {
-        "data_format": cfg.data.format,
-        "train_size": cfg.data.train_size,
-        "test_size": cfg.data.test_size,
-        "num_classes": cfg.data.num_classes,
-        "arch": cfg.model.arch,
-        "hidden_dims": list(cfg.model.hidden_dims),
-    }

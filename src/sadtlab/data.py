@@ -1,4 +1,5 @@
-"""Deterministic dataset loading, subset selection, batching, and CutMix.
+"""Deterministic dataset I/O (IDX read and write, CIFAR read), subset
+selection, batching, and CutMix.
 
 Loaders are bit-exact functions of the file bytes; batching and augmentation
 are pure functions of (data, seed), which is what keeps the training
@@ -12,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
 
-class DataFormatError(ValueError):
+class DataFormatError(InputError):
     """Malformed dataset file: bad magic, truncation, count mismatch, or a
     label outside the class range."""
 
@@ -99,6 +102,24 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         num_classes = int(labels.max()) + 1 if n else 0
     _check_labels(labels, labels_path, num_classes)
     return Dataset(pixels.astype(np.float64) / 255.0, labels, num_classes)
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    images = np.asarray(images, dtype=np.uint8)
+    n, h, w = images.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
+        fh.write(images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    labels = np.asarray(labels)
+    if labels.size and not (labels.min() >= 0 and labels.max() <= 255):  # one byte each
+        raise ValueError(f"labels must lie in 0..255, got {labels.min()}..{labels.max()}")
+    labels = labels.astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
+        fh.write(labels.tobytes())
 
 
 def load_cifar_binary(paths: list, num_classes: int = 10) -> Dataset:

@@ -24,11 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, __version__
-from .config import (
-    ConfigError, DataConfig, ExperimentConfig, ModelConfig, config_fingerprint_fields,
-    resolved_text,
-)
+from . import BLAS_THREAD_VARS, InputError, __version__
+from .config import ConfigError, DataConfig, ExperimentConfig, ModelConfig, resolved_text
 from .data import Dataset, MixedBatch, cutmix, load_cifar_binary, load_idx, make_batches
 from .metrics import (
     estimate_sharpness, evaluate, model_divergence, probe_batches, probe_logits,
@@ -131,9 +128,14 @@ def _file_digest(path) -> str:
 
 
 def dataset_fingerprint(cfg: ExperimentConfig) -> str:
-    digest = hashlib.sha256()
-    digest.update(json.dumps(config_fingerprint_fields(cfg), sort_keys=True).encode())
+    """What compared runs must share: data and model settings, and data files."""
     data = cfg.data
+    # the keys predate the per-section config and keep their names, since
+    # every run's dataset_fingerprint hashes them
+    settings = {"data_format": data.format, "train_size": data.train_size,
+                "test_size": data.test_size, "num_classes": data.num_classes,
+                "arch": cfg.model.arch, "hidden_dims": list(cfg.model.hidden_dims)}
+    digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
     if data.format == "idx":
         paths = [data.train_images, data.train_labels, data.test_images, data.test_labels]
     else:
@@ -291,7 +293,7 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
     (out / SUMMARY_FILE).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-class CompareError(ValueError):
+class CompareError(InputError):
     """Runs are not comparable (different dataset, model or BLAS setup), or a
     run directory cannot be read back."""
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .autodiff import (
     ShapeError,
     Tensor,
@@ -33,7 +34,7 @@ SIMPLE_CNN_CONV_WIDTHS = (32, 64, 64)
 SIMPLE_CNN_DENSE_WIDTHS = (256, 128)
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """Malformed or truncated checkpoint file."""
 
 

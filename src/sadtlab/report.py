@@ -1,9 +1,8 @@
-"""Run comparison: final-accuracy table, aligned curves, and SVG charts."""
+"""Run comparison: final-accuracy table (a CSV, and text returned), aligned curves, SVG charts."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .harness import CompareError, load_run
@@ -15,13 +14,6 @@ CURVE_METRICS = {
     "val_accuracy": ("eval_test", "accuracy"),
     "val_loss": ("eval_test", "task_loss"),
 }
-
-
-@dataclass
-class ComparisonReport:
-    strategies: list[str]  # row order
-    best: dict[int, str]  # seed -> best strategy
-    table_text: str
 
 
 def _curve(rows: list[dict], phase: str, key: str) -> tuple[list[int], list[float]]:
@@ -50,8 +42,9 @@ def _cell(value: float | None, flag: str | None, digits: int, empty: str, flag_w
     return f"{value:.{digits}f}" + ("" if flag is None else flag.ljust(flag_width))
 
 
-def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
-    """Tabulate final test accuracies across runs and emit aligned curves.
+def compare_runs(run_dirs: list, out_dir) -> str:
+    """Tabulate final test accuracies across runs and emit aligned curves;
+    returns the text table.
 
     The runs must agree on every key of their identity: ``dataset_fingerprint``,
     ``arch`` and, among the runs that have an ``env.json``, ``env.json blas
@@ -111,7 +104,7 @@ def compare_runs(run_dirs: list, out_dir) -> ComparisonReport:
         (out / f"chart_{metric}.svg").write_text(
             line_chart_svg(series, title=metric.replace("_", " "), ylabel=metric)
         )
-    return ComparisonReport(strategies, best, "\n".join(text_lines))
+    return "\n".join(text_lines)
 
 
 def _write_curve_csv(path, series: dict[str, tuple[list[int], list[float]]]) -> None:

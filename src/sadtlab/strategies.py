@@ -170,7 +170,7 @@ class Strategy:
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
         self._validate(teachers, ascent_lr, noise_seed)
         start = time.perf_counter()
-        targets, noise, drawn = self._draw_ahead(model.params, teachers, noise_seed)
+        split, noise, drawn = self._draw_ahead(model, teachers, noise_seed)
         try:
             task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
             logits_w, task_loss, grads = _grad_pass(model, Tensor(batch.images), task, "task")
@@ -194,8 +194,7 @@ class Strategy:
                 _mark(trace, "w_up", teacher.params)
                 parts = [grads]
                 kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
-                # the teachers share the forward of the layers before the first one they shift
-                split = _first_shifted_layer(teacher, targets)
+                # the teachers share the forward of the layers before ``split``
                 with Tape() as tape:
                     x = teacher.forward(Tensor(batch.images), stop=split)
                 drawn()
@@ -232,36 +231,30 @@ class Strategy:
             raise ValueError(f"ascent_lr must be >= 0, got {ascent_lr}")
 
     def _draw_ahead(
-        self, params: ParamSet, teachers: tuple[str, ...], noise_seed
-    ) -> tuple[list[dict[str, tuple]], list[dict[str, np.ndarray]], Callable[[], None]]:
-        """Each teacher's target entries, by name and shape: its filter's
-        ``noise_targets``, or every entry for "gradient-all". Then the list
-        the lane worker starts filling now, one ``{name: normals}`` dict per
-        teacher, in teacher order, drawn at sigma_w or sigma_g from the
-        teacher's own rng, spawned from ``noise_seed``; and the wait for it."""
+        self, model: Model, teachers: tuple[str, ...], noise_seed
+    ) -> tuple[str | None, list[dict[str, np.ndarray]], Callable[[], None]]:
+        """The first layer that a teacher shifts (its filter's ``noise_targets``,
+        or all for "gradient-all"): the teachers' forwards match before it.
+        Then the list the lane worker starts filling now, one ``{name:
+        normals}`` dict per teacher in teacher order, drawn at sigma_w or
+        sigma_g from its own rng, spawned from ``noise_seed``; and the wait."""
         if not teachers:
-            return [], [], lambda: None
+            return None, [], lambda: None
         jobs, noise = [], []
         for layer_filter, child in zip(teachers, noise_seed.spawn(len(teachers))):
             noisy = layer_filter in PARAM_FILTERS
-            entries = noise_targets(params, layer_filter if noisy else "all")
+            entries = noise_targets(model.params, layer_filter if noisy else "all")
             shapes = {name: a.shape for name, a in entries.items()}
             sigma = self.sigma_w if noisy else self.sigma_g
             jobs.append((np.random.default_rng(child), sigma, shapes))
         wait = _in_background(lambda: noise.extend(_draw(*job) for job in jobs))
-        return [shapes for _, _, shapes in jobs], noise, wait
+        shifted = {model.params.entry(name).layer for _, _, shapes in jobs for name in shapes}
+        return next(layer for layer in model.layers() if layer in shifted), noise, wait
 
 
 def _draw(rng: np.random.Generator, sigma: float, shapes: dict) -> dict[str, np.ndarray]:
     """One teacher's N(0, sigma^2) normals, an array per entry in entry order."""
     return {name: rng.normal(0.0, sigma, shape) for name, shape in shapes.items()}
-
-
-def _first_shifted_layer(model: Model, targets: list[dict[str, tuple]]) -> str:
-    """The first layer, in forward order, with an entry in any teacher's
-    ``targets``. Every teacher's forward runs the same ops before it."""
-    shifted = {model.params.entry(name).layer for names in targets for name in names}
-    return next(layer for layer in model.layers() if layer in shifted)
 
 
 def sam_point(model: Model, grads: GradSet, rho: float) -> Model | None:

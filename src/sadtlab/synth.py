@@ -1,38 +1,19 @@
-"""Synthetic image-classification data in IDX format.
+"""Synthetic image-classification data.
 
 Stands in for downloaded digit datasets on machines without network access:
 each class gets a fixed template of Gaussian blobs plus an oriented bar, and
 samples are shifted, intensity-jittered, noisy renderings of their template.
-Written as standard IDX pairs so the loaders and CLI treat them exactly like
-the real thing.
+Saved as standard IDX pairs (``data`` writes them) so the loaders and CLI
+treat them exactly like the real thing.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    n, h, w = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    if labels.size and not (labels.min() >= 0 and labels.max() <= 255):  # one byte each
-        raise ValueError(f"labels must lie in 0..255, got {labels.min()}..{labels.max()}")
-    labels = labels.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
+from .data import write_idx_images, write_idx_labels
 
 
 def _class_templates(num_classes: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:

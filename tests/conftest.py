@@ -3,7 +3,9 @@
 # pytest imports this file before any test module loads numpy.
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+from sadtlab import BLAS_THREAD_VARS  # imports no numpy
+
+for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
 import numpy as np

@@ -22,7 +22,7 @@ import pytest
 
 from sadtlab import BLAS_THREAD_VARS, cli, synth
 from sadtlab.config import ConfigError, parse_config
-from sadtlab.data import load_idx
+from sadtlab.data import load_idx, write_idx_images, write_idx_labels
 from sadtlab.harness import environment, run_experiment
 from sadtlab.nn import build_simple_cnn, load_checkpoint, save_checkpoint
 
@@ -283,8 +283,8 @@ def test_simple_cnn_on_small_images_prints_one_error_line(tmp_path, capsys):
 
 def test_tiny_mlp_on_images_of_no_pixels_prints_one_error_line(tmp_path, capsys):
     images, labels = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
-    synth.write_idx_images(images, np.zeros((4, 0, 0)))
-    synth.write_idx_labels(labels, np.array([0, 1, 0, 1]))
+    write_idx_images(images, np.zeros((4, 0, 0)))
+    write_idx_labels(labels, np.array([0, 1, 0, 1]))
     config = tmp_path / "empty.ini"
     config.write_text(
         f"[data]\ntrain_images = {images}\ntrain_labels = {labels}\n"

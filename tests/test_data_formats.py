@@ -28,7 +28,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sadtlab import cli, synth
-from sadtlab.data import CIFAR_RECORD_BYTES, DataFormatError, load_cifar_binary, load_idx
+from sadtlab.data import (
+    CIFAR_RECORD_BYTES, DataFormatError, load_cifar_binary, load_idx, write_idx_labels,
+)
 from sadtlab.nn import (
     CHECKPOINT_MAGIC, CheckpointError, ParamSet, build_simple_cnn, load_checkpoint,
     model_from_params, save_checkpoint,
@@ -294,7 +296,7 @@ class TestLabelRange:
 def test_label_writer_rejects_labels_a_byte_cannot_hold(tmp_path, labels):
     path = tmp_path / "labels-idx1-ubyte"
     with pytest.raises(ValueError, match="labels must lie in 0..255"):
-        synth.write_idx_labels(path, np.array(labels))
+        write_idx_labels(path, np.array(labels))
     assert not path.exists()
 
 
