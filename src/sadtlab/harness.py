@@ -42,6 +42,8 @@ CHECKPOINT_FILE = "final.ckpt"
 ABORT_CHECKPOINT_FILE = "abort.ckpt"
 WALL_TIMES_FILE = "wall_times.csv"
 ENV_FILE = "env.json"
+RUN_FILES = (METRICS_FILE, SUMMARY_FILE, RESOLVED_FILE, HASHES_FILE, CHECKPOINT_FILE,
+             ABORT_CHECKPOINT_FILE, WALL_TIMES_FILE, ENV_FILE)
 
 
 @dataclass
@@ -181,10 +183,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     pass supplies the current logits, so no copy of the initial model is
     kept. Writes metrics.csv, resolved.ini, env.json, summary.json,
     batch_hashes.txt, and the final checkpoint into the output directory,
-    which is made only once the data has loaded. The logs (``_write_logs``)
-    are also rewritten at the end of every epoch, so an interrupted run keeps
-    its finished epochs' logs, but no summary.json. A non-finite loss aborts
-    the run after saving the weights before the failing step and the logs.
+    which is made only once the data has loaded. A directory holds one run:
+    the files an earlier run wrote there (``RUN_FILES``) are deleted first.
+    The logs (``_write_logs``) are also rewritten at the end of every epoch,
+    each replaced whole, so an interrupted run or a failed write keeps the
+    finished epochs' logs, but an interrupted run has no summary.json. A
+    non-finite loss aborts the run after saving the weights before the
+    failing step and the logs.
     """
     opts = cfg.train
     seed, batch_size, epochs = opts.seed, opts.batch_size, opts.epochs
@@ -192,6 +197,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     model = _build_model(cfg.model, train, train_source)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in RUN_FILES:  # one run per directory: no file of an earlier run stays
+        (out / name).unlink(missing_ok=True)
     (out / RESOLVED_FILE).write_text(resolved_text(cfg))
     (out / ENV_FILE).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     state = AdamState(model.params)
@@ -263,12 +270,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     return log
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: a failed write leaves the old file."""
+    part = path.with_name(path.name + ".part")
+    part.write_text(text)
+    os.replace(part, path)
+
+
 def _write_logs(log: RunLog, out: Path) -> None:
-    (out / METRICS_FILE).write_text(log.csv_text())
-    (out / HASHES_FILE).write_text("\n".join(log.batch_hashes) + ("\n" if log.batch_hashes else ""))
+    _replace_text(out / METRICS_FILE, log.csv_text())
+    _replace_text(out / HASHES_FILE, "".join(f"{h}\n" for h in log.batch_hashes))
     if log.config.output.wall_times:
         lines = ["step,wall_ms", *(f"{s},{ms:.3f}" for s, ms in log.wall_times)]
-        (out / WALL_TIMES_FILE).write_text("\n".join(lines) + "\n")
+        _replace_text(out / WALL_TIMES_FILE, "\n".join(lines) + "\n")
 
 
 def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
@@ -290,7 +304,7 @@ def _write_outputs(log: RunLog, out: Path, aborted: str | None = None) -> None:
         "final_test_loss": log.final_loss,
         "aborted": aborted,
     }
-    (out / SUMMARY_FILE).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _replace_text(out / SUMMARY_FILE, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 class CompareError(InputError):

@@ -259,8 +259,10 @@ def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = No
     shape is inferred from the first layer when not given (conv kernels fix
     channels only, so H and W are required for CNNs). Parameters that no
     model runs raise ``CheckpointError``: no dense layer, a layer without its
-    weight or bias, an entry no layer runs, or a weight and bias of a shape
-    no conv or dense layer has.
+    weight or bias, an entry no layer runs, a weight and bias of a shape no
+    conv or dense layer has, a conv kernel that is not odd and square, or a
+    layer whose inputs differ from the previous layer's outputs (except the
+    first dense layer after a conv, whose inputs the image size sets).
     """
     if not params.layers("dense"):
         raise CheckpointError("no model runs parameters without a dense layer")
@@ -273,11 +275,19 @@ def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = No
     stray = set(params.names()) - {f"{layer}.{r}" for layer in runs for r in ("weight", "bias")}
     if stray:
         raise CheckpointError(f"no layer runs {', '.join(sorted(stray))}")
+    prev, gives = None, 0  # the previous layer and its output count
     for layer in runs:
         w, b = params.get(f"{layer}.weight").shape, params.get(f"{layer}.bias").shape
-        rank, out = (4, 0) if layer in convs else (2, 1)  # F x C x k x k, or in x out
+        conv = layer in convs
+        rank, out = (4, 0) if conv else (2, 1)  # F x C x k x k, or in x out
         if len(w) != rank or b != (w[out],):
             raise CheckpointError(f"layer {layer} has weight {w} and bias {b}")
+        if conv and not (w[2] == w[3] and w[2] % 2):
+            raise CheckpointError(f"layer {layer} has a {w[2]}x{w[3]} kernel, not an odd square")
+        takes = w[1 - out]  # the dense layer after a conv takes C x H x W, set by the image size
+        if prev and (conv or prev not in convs) and takes != gives:
+            raise CheckpointError(f"layer {layer} takes {takes} inputs, but {prev} gives {gives}")
+        prev, gives = layer, w[out]
     if convs:
         if input_shape is None:
             raise ValueError("input_shape (C, H, W) is required to rebuild a conv model")

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadtlab import BLAS_THREAD_VARS, cli, synth
+from sadtlab import BLAS_THREAD_VARS, InputError, cli, synth
 from sadtlab.config import ConfigError, parse_config
-from sadtlab.data import load_idx, write_idx_images, write_idx_labels
-from sadtlab.harness import environment, run_experiment
-from sadtlab.nn import build_simple_cnn, load_checkpoint, save_checkpoint
+from sadtlab.data import DataFormatError, load_idx, write_idx_images, write_idx_labels
+from sadtlab.harness import CompareError, environment, run_experiment
+from sadtlab.nn import CheckpointError, build_simple_cnn, load_checkpoint, save_checkpoint
+from sadtlab.optim import NoiseError
 
 STRATEGIES = ("baseline", "sadt_v1")
 
@@ -387,3 +388,26 @@ def test_probe_on_an_empty_set_prints_one_error_line(tmp_path, capsys):
     synth.generate_dataset_files(data, 4, 0, 3, 8, 8, seed=0)  # an empty t10k pair
     assert cli.main(["probe", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
     assert capsys.readouterr() == ("", f"sadtlab: error: --data {data} holds no samples\n")
+
+
+@pytest.mark.parametrize("error", [cli.UsageError, ConfigError, DataFormatError, CheckpointError,
+                                   CompareError])
+def test_every_input_error_prints_one_error_line(tmp_path, monkeypatch, capsys, error):
+    assert issubclass(error, InputError)
+
+    def bad_input(args):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "_cmd_make_data", bad_input)
+    assert cli.main(["make-data", "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr() == ("", "sadtlab: error: bad input\n")
+
+
+def test_a_program_error_keeps_its_traceback(tmp_path, monkeypatch):
+    # NoiseError is a ValueError, as InputError is, but a fault of the program
+    def program_fault(args):
+        raise NoiseError("noise record does not match")
+
+    monkeypatch.setattr(cli, "_cmd_make_data", program_fault)
+    with pytest.raises(NoiseError, match="noise record does not match"):
+        cli.main(["make-data", "--out", str(tmp_path / "data")])

@@ -113,7 +113,12 @@ class TestCheckpointNoModelRuns:
         ({"dense3.bias": np.zeros((3, 1))}, "layer dense3 has weight (128, 3) and bias (3, 1)"),
         ({"foo.weight": np.ones((2, 2)), "foo.bias": np.ones(2), "dense1.gamma": np.ones(256)},
          "no layer runs dense1.gamma, foo.bias, foo.weight"),
-    ], ids=["scalar-weight", "column-bias", "stray-entries"])
+        # layers that do not chain fail on any data, so the checkpoint is named, not the data
+        ({"conv1.weight": np.ones((32, 1, 2, 2))}, "layer conv1 has a 2x2 kernel, not an odd square"),
+        ({"conv2.weight": np.ones((64, 16, 3, 3))}, "layer conv2 takes 16 inputs, but conv1 gives 32"),
+        ({"dense2.weight": np.ones((100, 128))}, "layer dense2 takes 100 inputs, but dense1 gives 256"),
+    ], ids=["scalar-weight", "column-bias", "stray-entries", "even-kernel", "conv-chain",
+            "dense-chain"])
     def test_cli_probe_refuses_entries_no_layer_runs(self, tmp_path, capsys, edit, message):
         synth.generate_dataset_files(tmp_path / "data", 4, 4, 3, 8, 8, seed=1)
         named = {e.name: e.tensor.data for e in build_simple_cnn((1, 8, 8), 3, seed=0).params}

@@ -4,12 +4,14 @@ logits of an off-tape forward, a model's divergence from itself is exactly 0,
 and evaluation does not depend on dataset order. Then the probes of
 ``run_experiment``: the divergence column is the one two full forwards of
 both models give, each probe batch costs two forwards per probe plus one
-per run for the initial model, and a run interrupted mid-epoch keeps the
-``metrics.csv`` rows, batch hashes and wall times of its finished epochs, but
-writes no ``summary.json``."""
+per run for the initial model, and a run interrupted mid-epoch, or whose log
+write fails, keeps the ``metrics.csv`` rows, batch hashes and wall times of
+its finished epochs, but writes no ``summary.json``. A run leaves no file of an
+earlier run in its directory."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +240,56 @@ def test_a_run_interrupted_in_an_epoch_keeps_the_hashes_and_wall_times_before(pr
     assert wall[0] == "step,wall_ms"
     assert [int(line.split(",")[0]) for line in wall[1:]] == list(range(1, finished + 1))
     assert not (run / harness.SUMMARY_FILE).exists()  # compare refuses the run loudly
+
+
+def test_a_failed_log_write_keeps_the_finished_epochs_logs(probe_config, monkeypatch, tmp_path):
+    whole = harness.run_experiment(probe_config).csv_text()
+    probe_config.output.dir = str(tmp_path / "full")
+    writes, write_text = [0], Path.write_text
+
+    def disk_fills(self, text, *args, **kwargs):
+        if self.name.startswith(harness.METRICS_FILE):
+            writes[0] += 1
+            if writes[0] == 2:  # epoch 2's metrics.csv: a third of it fits
+                write_text(self, text[: len(text) // 3], *args, **kwargs)
+                raise OSError(28, "No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_fills)
+    with pytest.raises(OSError, match="No space left on device"):
+        harness.run_experiment(probe_config)
+    kept = (tmp_path / "full" / harness.METRICS_FILE).read_text()
+    assert kept.count("\n") == 1 + 2 + 24 // BATCH + 2 + 1  # all of epoch 1, as above
+    assert whole.startswith(kept)
+
+
+def test_a_rerun_leaves_no_wall_times_of_the_run_before(probe_config):
+    probe_config.output.wall_times = True
+    harness.run_experiment(probe_config)
+    run = Path(probe_config.output.dir)
+    assert (run / harness.WALL_TIMES_FILE).exists()
+    probe_config.output.wall_times = False
+    probe_config.train.epochs, probe_config.train.seed = 1, 2
+    harness.run_experiment(probe_config)
+    assert not (run / harness.WALL_TIMES_FILE).exists()
+    assert sorted(p.name for p in run.iterdir()) == sorted(set(harness.RUN_FILES) - {
+        harness.WALL_TIMES_FILE, harness.ABORT_CHECKPOINT_FILE})
+
+
+def test_an_interrupted_rerun_leaves_no_summary_or_checkpoint_of_the_run_before(probe_config,
+                                                                              monkeypatch):
+    harness.run_experiment(probe_config)
+    run = Path(probe_config.output.dir)
+    (run / harness.ABORT_CHECKPOINT_FILE).write_bytes(b"an earlier aborted run's")
+    (run / "notes.txt").write_text("not a run file\n")
+
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Strategy, "step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_experiment(probe_config)
+    for name in (harness.SUMMARY_FILE, harness.CHECKPOINT_FILE, harness.ABORT_CHECKPOINT_FILE,
+                 harness.METRICS_FILE):
+        assert not (run / name).exists(), name
+    assert (run / "notes.txt").read_text() == "not a run file\n"  # only the run's files go
