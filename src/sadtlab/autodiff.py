@@ -26,25 +26,28 @@ an odd, square kernel, so a conv keeps its input's spatial extent.
 
 Tapes stay single-threaded: an op records on its caller's tape, and
 :func:`backward` runs every backward function on the caller's thread. Inside
-one op, when the process may run on more than one CPU, the per-image kernels
-of the conv stack run as two lanes: the caller takes the first half of the
-images, one worker thread the rest. They are the padding, the im2col gather,
-both conv matmuls, ``col2im`` and the pool forward and backward; the kernel
-gradient splits by output channel instead, unless its lanes are too narrow
-for numpy to release the GIL (``_MATMUL_GIL_MAX_OUT``). Lanes split only
-rows and channels, never a sum: each lane writes its own rows of buffers the
-caller allocated, with the kernel the whole array would get, and each
-lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS multiplies
-it with the kernel it uses for the whole product, and starts at an even row.
-So one lane or two give the same bits.
-The bias gradient sums over the batch and stays on one lane. A conv lane
-walks its images in blocks of at least ``_LANE_MIN_WORK`` multiply-adds, forward
-and input gradient alike, so each block's product has the whole product's bits.
+one op, when the process may run on more than one CPU, a kernel runs as two
+lanes: the caller takes the first half of its items, one worker thread the
+rest. By images: the padding, the im2col gather, both conv matmuls, the
+zeroing of the input gradient and ``col2im``, and the pool (with its ReLU in
+``max_pool2x2_relu``) forward and backward. By image row: the conv bias
+gradient's batch sum. By output channel: the conv kernel gradient, unless its
+lanes are too narrow for numpy to release the GIL (``_MATMUL_GIL_MAX_OUT``).
+By row: the dense products (``matmul`` and both its gradients). Lanes split
+only rows, images and channels, never a sum: each lane writes its own rows of
+buffers the caller allocated, with the kernel the whole array would get, and
+each lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS
+multiplies it with the kernel it uses for the whole product, and starts at an
+even row. So one lane or two give the same bits. A conv lane walks its images
+in blocks of at least ``_LANE_MIN_WORK`` multiply-adds, forward and input
+gradient alike, so each block's product has the whole product's bits.
+``optim.adam_step`` splits whole parameter entries over the two lanes.
 
 Every job reaches the worker through ``_in_background``: the upper lane, and
 the teachers' noise draw that a training step hands it at its start; the
 lanes of the step's passes queue behind that draw. Without a worker the
-draw runs on the caller first.
+draw runs on the caller first. ``lane_busy_s`` reads the worker's time in
+jobs, which a training step reports.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+import time
 from typing import Callable
 
 import numpy as np
@@ -314,19 +318,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    out = _matmul(a.data, b.data)
 
     def bw(g, needs):
         return (
-            g @ b.data.T if needs[0] else None,
-            a.data.T @ g if needs[1] else None,
+            _matmul(g, b.data.T) if needs[0] else None,
+            _matmul(a.data.T, g) if needs[1] else None,
         )
 
     return _apply(out, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
-# lanes: a kernel's images or channels split over two cores
+# lanes: a kernel's images, rows, channels or entries split over two cores
 # ---------------------------------------------------------------------------
 
 # Least multiply-adds each lane must hold, or a kernel runs on one lane. It is
@@ -334,12 +338,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # multiplies a product of up to ~1e6 M*N*K with its small-matrix kernel, which
 # rounds differently from the whole product's kernel. Its Haswell dgemm (AVX2)
 # also rounds a run of rows that starts at an odd row differently, so lanes and
-# blocks of conv images start at an even row. The margin keeps the 8x8 training
-# convs, where a handoff costs about what the split saves, on one lane.
+# blocks of conv images and rows of dense products start at an even row. The
+# margin keeps the 8x8 training convs and dense products, where a handoff costs
+# about what the split saves, on one lane. For a kernel without BLAS it is the
+# speed rule alone, in the multiply-adds its cells cost (a lane of about 0.1 ms
+# against a handoff of about 0.02 ms).
 _LANE_MIN_WORK = 4_000_000
-# a pool cell's forward takes about as long as this many multiply-adds of a
-# one-thread BLAS product
+# a pool cell's forward, pooled and rectified, takes about as long as this many
+# multiply-adds of a one-thread BLAS product (measured 28 on 28x28 conv1 and
+# conv2 outputs); one addend of the bias gradient's batch sum about 10 (9.4)
 _POOL_WORK_PER_CELL = 32
+_SUM_WORK_PER_CELL = 10
 # numpy's matmul releases the GIL only for a product of more output elements
 # than this (numpy 2.4.6: a 500-element product kept it, a 501-element one
 # released it). The worker's lane of a narrower product would start only once
@@ -354,18 +363,21 @@ class _Worker:
     It runs numpy calls only, never a tape op, under the errstate of the
     thread that handed it the job. Jobs go in on one queue and run in turn;
     each reply comes back on a queue of its own, so callers on several
-    threads share it.
+    threads share it. ``busy_s`` adds up the seconds it has spent in jobs,
+    each counted before its reply is sent.
     """
 
     def __init__(self):
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._thread: threading.Thread | None = None
         self._starting = threading.Lock()
+        self.busy_s = 0.0  # written by the worker thread only
 
     def _serve(self) -> None:
         while True:
             fn, errstate, reply = self._jobs.get()
             failure = None
+            start = time.perf_counter()
             try:
                 with np.errstate(**errstate):
                     fn()
@@ -373,6 +385,7 @@ class _Worker:
                 failure = exc
             # fn's closure holds the op's buffers: they must not outlive the op
             del fn
+            self.busy_s += time.perf_counter() - start
             reply.put(failure)
             del failure
 
@@ -394,6 +407,11 @@ def _new_worker() -> _Worker | None:
 
 
 _WORKER = _new_worker()
+
+
+def lane_busy_s() -> float:
+    """Seconds the lane worker has spent in jobs so far; 0 without a worker."""
+    return 0.0 if _WORKER is None else _WORKER.busy_s
 
 
 def _reset_worker() -> None:
@@ -425,11 +443,33 @@ def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None], align: in
     if _WORKER is None or half < 2 or half * work_per_item < _LANE_MIN_WORK:
         fn(0, n)
         return
-    wait = _in_background(lambda: fn(half, n))
+    _both(lambda: fn(0, half), lambda: fn(half, n))
+
+
+def _both(lower: Callable[[], None], upper: Callable[[], None]) -> None:
+    """Run ``lower()`` here while the worker runs ``upper()``; return once
+    both have ended (see ``_lanes`` for failures)."""
+    wait = _in_background(upper)
     try:
-        fn(0, half)
+        lower()
     finally:
         wait()  # the worker's lane must end before the buffers are used
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of rank-2 arrays, its rows split over the lanes when each
+    lane's product clears ``_LANE_MIN_WORK`` and writes more than
+    ``_MATMUL_GIL_MAX_OUT`` elements; the upper lane starts at an even row."""
+    n, k, m = *a.shape, b.shape[1]
+    if (n // 2) * m <= _MATMUL_GIL_MAX_OUT or (n // 2) * k * m < _LANE_MIN_WORK:
+        return a @ b  # one lane, without the row walk's ~1 us (an 8x8 product takes 1.5-15 us)
+    out = np.empty((n, m))
+
+    def rows(lo, hi):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+    _lanes(n, k * m, rows, align=2)
+    return out
 
 
 def _in_background(fn: Callable[[], None]) -> Callable[[], None]:
@@ -582,24 +622,32 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             if index >= recording[0].session:  # no later session reads them: free them now
                 cols = None
         if needs[0]:
-            gp = np.zeros((n, *padded))
+            gp = np.empty((n, *padded))
 
             def input_grad(lo, hi):
-                # each block's column gradient is added into gp while in cache
+                # each block's images of gp are zeroed, then its column
+                # gradient is added into them, while in cache
                 blocks, most = _blocks(lo, hi, block)
                 gcols = np.empty((most * hw, ckk))
                 for start, stop in blocks:
                     block_gcols = gcols[: (stop - start) * hw]
                     np.matmul(gm[start * hw : stop * hw], wmat, out=block_gcols)
+                    gp[start:stop] = 0.0
                     _col2im_add(gp[start:stop], block_gcols, k)
 
             _lanes(n, work, input_grad, align)
             gx = gp[:, pad : pad + h, pad : pad + w, :]
         if needs[2]:
-            # batch first, then a pairwise sum over each channel's contiguous
-            # h*w values; the golden fixture pins this summation order
-            per_pixel = g.sum(axis=0).reshape(h * w, f)
-            gb = np.ascontiguousarray(per_pixel.T).sum(axis=1)
+            # batch first, split by image row, then a pairwise sum over each
+            # channel's contiguous h*w values; the golden fixture pins this
+            # summation order
+            per_pixel = np.empty((h, w, f))
+
+            def batch_sum(lo, hi):  # np.sum's reduction, without its wrapper's ~1 us
+                np.add.reduce(g[:, lo:hi], axis=0, out=per_pixel[lo:hi])
+
+            _lanes(h, n * w * f * _SUM_WORK_PER_CELL, batch_sum)
+            gb = np.ascontiguousarray(per_pixel.reshape(hw, f).T).sum(axis=1)
         return gx, gk, gb
 
     return _apply(out, parents, bw)
@@ -614,6 +662,23 @@ def max_pool2x2(t: Tensor) -> Tensor:
     gets g * 0, a zero with g's sign. A window holding NaN routes nowhere
     (its max, and so the loss, is NaN).
     """
+    return _pool(t, rectify=False)
+
+
+def max_pool2x2_relu(t: Tensor) -> Tensor:
+    """``relu(max_pool2x2(t))`` as one op, the same bits in values and
+    gradients: each lane pools and then rectifies its own images, and its
+    backward masks the gradient with ``g * (out > 0)`` and routes it in the
+    same pass. It keeps one output, not two, and one tape node.
+
+    Routing by the rectified output is routing by the max: they differ only
+    in a window whose max is not > 0, and there the masked gradient is a zero
+    with g's sign (or NaN), which every cell gets, routed or not.
+    """
+    return _pool(t, rectify=True)
+
+
+def _pool(t: Tensor, rectify: bool) -> Tensor:
     n, h, w, c = t.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
@@ -631,6 +696,8 @@ def max_pool2x2(t: Tensor) -> Tensor:
         win, top = windows(x[lo:hi]), out[lo:hi]
         np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1], out=top)
         np.maximum(top, np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]), out=top)
+        if rectify:
+            np.maximum(top, 0.0, out=top)
 
     _lanes(n, work, forward)
 
@@ -649,7 +716,8 @@ def max_pool2x2(t: Tensor) -> Tensor:
                 cell = cells[:, :, i, :, j]
                 np.greater(cell, seen, out=cell)  # on bools: cell and not seen
                 np.logical_or(seen, cell, out=seen)
-            np.multiply(g[lo:hi, :, None, :, None, :], cells, out=windows(gx[lo:hi]))
+            lane_g = g[lo:hi] * (out[lo:hi] > 0.0) if rectify else g[lo:hi]
+            np.multiply(lane_g[:, :, None, :, None, :], cells, out=windows(gx[lo:hi]))
 
         _lanes(n, work, backward_lane)
         return (gx,)

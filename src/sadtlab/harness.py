@@ -77,7 +77,7 @@ class RunLog:
     config: ExperimentConfig
     rows: list[RunRow] = field(default_factory=list)
     batch_hashes: list[str] = field(default_factory=list)
-    wall_times: list[tuple[int, float]] = field(default_factory=list)
+    wall_times: list[tuple[int, float, float]] = field(default_factory=list)  # step, wall, lane ms
     final_accuracy: float | None = None
     final_loss: float | None = None
 
@@ -242,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
                         lr=report.lr, grad_norm=report.grad_norm,
                     )
                 )
-                log.wall_times.append((step, report.wall_ms))
+                log.wall_times.append((step, report.wall_ms, report.lane_ms))
             eval_pair(step, epoch)
             if opts.probe_every and epoch % opts.probe_every == 0:
                 sharp = estimate_sharpness(model, sharp_batches, opts.probe_rho)
@@ -271,17 +271,23 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
 
 
 def _replace_text(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: a failed write leaves the old file."""
+    """Write ``path`` whole or not at all: a failed write leaves the old file,
+    and no part file beside it."""
     part = path.with_name(path.name + ".part")
-    part.write_text(text)
-    os.replace(part, path)
+    try:
+        part.write_text(text)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _write_logs(log: RunLog, out: Path) -> None:
     _replace_text(out / METRICS_FILE, log.csv_text())
     _replace_text(out / HASHES_FILE, "".join(f"{h}\n" for h in log.batch_hashes))
     if log.config.output.wall_times:
-        lines = ["step,wall_ms", *(f"{s},{ms:.3f}" for s, ms in log.wall_times)]
+        lines = ["step,wall_ms,lane_ms",
+                 *(f"{s},{wall:.3f},{lane:.3f}" for s, wall, lane in log.wall_times)]
         _replace_text(out / WALL_TIMES_FILE, "\n".join(lines) + "\n")
 
 

@@ -21,7 +21,7 @@ from .autodiff import (
     add,
     conv2d,
     matmul,
-    max_pool2x2,
+    max_pool2x2_relu,
     relu,
     reshape,
     transpose,
@@ -121,14 +121,16 @@ class ParamSet:
 class Model:
     """A ParamSet plus the deterministic forward rule its layers imply.
 
-    With any conv layers, the forward runs each conv layer as conv, 2x2 max
-    pool, ReLU, then flattens into the dense stack; without, it flattens the
-    input straight into the dense stack. Layers run in parameter order.
+    With any conv layers, the forward runs each conv layer as conv, then 2x2
+    max pool and ReLU as one op (``max_pool2x2_relu``), then flattens into the
+    dense stack; without, it flattens the input straight into the dense stack.
+    Layers run in parameter order.
 
     Pooling before the ReLU is the same function as the usual conv, ReLU,
     pool, bit for bit in values and gradients: ReLU is monotone, so it
     commutes with a max, and a window whose max is <= 0 passes zeros with
-    g's sign in either order. The ReLU just runs at a quarter of the size.
+    g's sign in either order. The ReLU just runs at a quarter of the size,
+    on the images each lane has just pooled.
     """
 
     def __init__(self, params: ParamSet, input_shape: tuple[int, ...]):
@@ -183,7 +185,7 @@ class Model:
         w = self.params.get(f"{layer}.weight")
         b = self.params.get(f"{layer}.bias")
         if self.params.entry(f"{layer}.weight").kind == "conv":
-            return relu(max_pool2x2(conv2d(x, w, b)))
+            return max_pool2x2_relu(conv2d(x, w, b))
         if x.data.ndim == 4:
             x = transpose(x, (0, 3, 1, 2))
             x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))

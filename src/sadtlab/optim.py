@@ -1,5 +1,9 @@
 """Adam with cosine decay, gradient transforms, and parameter shifts.
 
+Adam updates the parameters and both moments in place, each entry through
+two scratch buffers rather than a temporary per operation, and splits the
+entries over the lane worker when both lanes are large enough.
+
 A gradient set is ``{name: array}`` in parameter order, like every other
 per-parameter set; every operation on one re-checks its alignment. Gradient
 centralization and adaptive clipping share one unit, picked by shape
@@ -18,12 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import ParamSet
+from .autodiff import _both
+from .nn import ParamEntry, ParamSet
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 AGC_EPS = 1e-3
+# Least elements each lane of an Adam step must hold, or the step runs on one
+# lane. A 28x28 simple_cnn's lanes hold 147k and 90k elements; an 8x8 one's
+# about 53k each, and stay on one lane, where a split saved about 0.05 ms of a
+# 2.3-6.7 ms step.
+_ADAM_LANE_MIN = 64_000
 
 PARAM_FILTERS = ("all", "last-conv", "last-dense")
 
@@ -120,20 +130,50 @@ class AdamState:
 
 
 def adam_step(params: ParamSet, grads: GradSet, state: AdamState, lr: float) -> ParamSet:
-    """One bias-corrected Adam update, in place; advances the state by one step."""
+    """One bias-corrected Adam update, in place; advances the state by one step.
+
+    Per entry, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, each ufunc in that order, writing
+    into two scratch buffers per lane. The entries are dealt, largest first,
+    to the lighter of two lanes; when each lane holds at least
+    ``_ADAM_LANE_MIN`` elements, the lane worker runs one of them.
+    """
     grads.check_aligned(params)
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    for e in params.entries:
-        g = grads[e.name]
-        m = state.m[e.name]
-        v = state.v[e.name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        e.tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+    def update(entries: list[ParamEntry]) -> None:
+        most = max((e.tensor.data.size for e in entries), default=0)
+        t_buf, u_buf = np.empty(most), np.empty(most)
+        for e in entries:
+            p, g, m, v = e.tensor.data, grads[e.name], state.m[e.name], state.v[e.name]
+            t, u = t_buf[: p.size].reshape(p.shape), u_buf[: p.size].reshape(p.shape)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+            m += t
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=t)
+            t *= g
+            v += t
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += ADAM_EPS
+            np.divide(m, c1, out=u)
+            u *= lr
+            u /= t
+            p -= u
+
+    lanes: tuple[list[ParamEntry], list[ParamEntry]] = ([], [])
+    loads = [0, 0]
+    for e in sorted(params.entries, key=lambda e: -e.tensor.data.size):
+        lane = loads.index(min(loads))
+        lanes[lane].append(e)
+        loads[lane] += e.tensor.data.size
+    if min(loads) < _ADAM_LANE_MIN:
+        update(params.entries)
+    else:
+        _both(lambda: update(lanes[0]), lambda: update(lanes[1]))
     return params
 
 

@@ -50,6 +50,7 @@ from .autodiff import (
     add,
     backward,
     kl_divergence,
+    lane_busy_s,
     scale,
     softmax_cross_entropy,
 )
@@ -101,13 +102,16 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class StepReport:
-    """Per-batch record: losses, learning rate, final gradient norm, timing."""
+    """Per-batch record: losses, learning rate, final gradient norm, timing:
+    the step's wall time and the lane worker's busy time within it (0 without
+    a worker)."""
 
     task_loss: float
     kl_loss: float
     lr: float
     grad_norm: float
     wall_ms: float
+    lane_ms: float
     flags: tuple[str, ...] = ()
 
 
@@ -169,7 +173,7 @@ class Strategy:
         transform, sam, teachers = PRESETS[self.id]
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
         self._validate(teachers, ascent_lr, noise_seed)
-        start = time.perf_counter()
+        start, busy = time.perf_counter(), lane_busy_s()
         split, noise, drawn = self._draw_ahead(model, teachers, noise_seed)
         try:
             task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
@@ -218,9 +222,8 @@ class Strategy:
         if trace is not None:
             trace.final_grads = grads
         adam_step(model.params, grads, state, lr)
-        return StepReport(
-            task_loss, kl_loss, lr, grads.global_norm(), (time.perf_counter() - start) * 1e3, flags
-        )
+        wall_ms, lane_ms = (time.perf_counter() - start) * 1e3, (lane_busy_s() - busy) * 1e3
+        return StepReport(task_loss, kl_loss, lr, grads.global_norm(), wall_ms, lane_ms, flags)
 
     def _validate(self, teachers: tuple[str, ...], ascent_lr: float, noise_seed) -> None:
         """Reject what depends on the step's arguments before any pass runs."""

@@ -2,9 +2,10 @@
 
 ``max_pool2x2`` backward routes each window's gradient to its earliest
 maximum in scan order, ``relu`` and ``max_pool2x2`` commute bit for bit
-(values and gradients), and ``col2im`` (``autodiff._col2im_add``) sums each
-input cell's window contributions in (i, j) order from zero, over whatever
-images it is handed: ``conv2d`` hands it one block of images at a time.
+(values and gradients), and both orders give the bits of the fused
+``max_pool2x2_relu``. ``col2im`` (``autodiff._col2im_add``) sums each input
+cell's window contributions in (i, j) order from zero, over whatever images
+it is handed: ``conv2d`` hands it one block of images at a time.
 Arrays are compared by ``tobytes``, so the sign of a zero counts.
 """
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sadtlab.autodiff import Tape, Tensor, backward, max_pool2x2, relu
+from sadtlab.autodiff import Tape, Tensor, backward, max_pool2x2, max_pool2x2_relu, relu
 
 from conftest import col2im, mul
 
@@ -109,8 +110,9 @@ class TestPoolReluCommute:
         x, g = xg
         out_a, gx_a = _grad_through(lambda t: relu(max_pool2x2(t)), x, g)
         out_b, gx_b = _grad_through(lambda t: max_pool2x2(relu(t)), x, g)
-        assert out_a.tobytes() == out_b.tobytes()
-        assert gx_a.tobytes() == gx_b.tobytes()
+        out_c, gx_c = _grad_through(max_pool2x2_relu, x, g)  # the one op the models run
+        assert out_a.tobytes() == out_b.tobytes() == out_c.tobytes()
+        assert gx_a.tobytes() == gx_b.tobytes() == gx_c.tobytes()
 
 
 def _naive_col2im(gcols: np.ndarray, xshape, k: int) -> np.ndarray:

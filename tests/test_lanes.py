@@ -1,6 +1,7 @@
-"""Lanes: the conv stack's kernels split over two threads give the same bits.
+"""Lanes: kernels split over two threads give the same bits.
 
-Every value and gradient of ``conv2d`` and ``max_pool2x2`` is compared by
+Every value and gradient of ``conv2d``, ``max_pool2x2``, ``max_pool2x2_relu``
+and ``matmul``, and every array ``adam_step`` updates, is compared by
 ``tobytes`` with a lane worker and with ``autodiff._WORKER`` off, where every
 kernel runs on one lane. The worker fixture makes a worker even on a one-CPU
 machine, so these tests run the two-lane path everywhere, and it counts the
@@ -20,7 +21,18 @@ import numpy as np
 import pytest
 
 from sadtlab import autodiff
-from sadtlab.autodiff import Tape, Tensor, backward, conv2d, max_pool2x2, relu
+from sadtlab.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    conv2d,
+    matmul,
+    max_pool2x2,
+    max_pool2x2_relu,
+    relu,
+)
+from sadtlab.nn import build_simple_cnn
+from sadtlab.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, GradSet, adam_step
 
 from conftest import mul
 
@@ -29,9 +41,9 @@ LAYERS = ((1, 32), (32, 64), (64, 64))
 
 
 def _stack(n: int, side: int) -> list[bytes]:
-    """simple_cnn's conv stack (conv, pool, ReLU per layer) on a seeded batch:
-    every conv and pool output, then the gradients of the input, each kernel
-    and each bias."""
+    """simple_cnn's conv stack (conv, then pool and ReLU as one op, per layer)
+    on a seeded batch: every conv and pooled output, then the gradients of
+    the input, each kernel and each bias."""
     gen = np.random.default_rng([n, side])
     x = Tensor(gen.normal(size=(n, side, side, 1)), requires_grad=True)
     params = [
@@ -45,9 +57,8 @@ def _stack(n: int, side: int) -> list[bytes]:
         for kernel, bias in params:
             t = conv2d(t, kernel, bias)
             values.append(t.data)
-            t = max_pool2x2(t)
+            t = max_pool2x2_relu(t)
             values.append(t.data)
-            t = relu(t)
         loss = mul(t, Tensor(gen.normal(size=t.shape))).sum()
     grads = backward(loss)
     leaves = [x, *(leaf for pair in params for leaf in pair)]
@@ -118,14 +129,14 @@ def test_a_kernel_gradient_too_narrow_to_release_the_gil_stays_on_one_lane(worke
     assert 16 * (n * 8 * 8 * 9) >= autodiff._LANE_MIN_WORK  # enough work to split
     assert 16 * 9 <= autodiff._MATMUL_GIL_MAX_OUT
     assert _conv(n, False, 1, 32) == _one_lane(monkeypatch, _conv, n, False, 1, 32)
-    assert worker.handed == 1  # the forward, split by images
+    assert worker.handed == 2  # the forward, split by images, and the bias gradient's sum
 
 
-def _pool(x: np.ndarray) -> list[bytes]:
+def _pool(x: np.ndarray, op=max_pool2x2) -> list[bytes]:
     g = np.random.default_rng(1).normal(size=(len(x), x.shape[1] // 2, x.shape[2] // 2, x.shape[3]))
     t = Tensor(x, requires_grad=True)
     with Tape():
-        out = max_pool2x2(t)
+        out = op(t)
         loss = mul(out, Tensor(g)).sum()
     return [out.data.tobytes(), backward(loss)[t].tobytes()]
 
@@ -136,6 +147,97 @@ def test_pool_with_ties_and_signed_zeros_matches_one_lane(worker, monkeypatch, s
     x = np.random.default_rng(2).choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=shape)
     assert _pool(x) == _one_lane(monkeypatch, _pool, x)
     assert worker.handed == 2
+
+
+# conv1's and conv2's outputs at 28x28, batch 64, and conv3's 7 -> 3 at batch 256
+@pytest.mark.parametrize("shape", [(64, 28, 28, 32), (64, 14, 14, 64), (256, 7, 7, 64)],
+                         ids=["conv1-28x28", "conv2-28x28", "odd-7x7-n256"])
+def test_pool_relu_with_ties_signed_zeros_and_nan_matches_one_lane_and_relu_of_pool(
+        worker, monkeypatch, shape):
+    x = np.random.default_rng(3).choice([-1.0, -0.0, 0.0, 0.5, 2.0, math.nan], size=shape)
+    fused = _pool(x, max_pool2x2_relu)
+    assert worker.handed == 2
+    assert fused == _one_lane(monkeypatch, _pool, x, max_pool2x2_relu)
+    assert fused == _one_lane(monkeypatch, _pool, x, lambda t: relu(max_pool2x2(t)))
+
+
+def _bias_grad(x: np.ndarray, kernel: np.ndarray) -> bytes:
+    """The bias gradient of a conv whose input and kernel take none."""
+    bias = Tensor(np.zeros(len(kernel)), requires_grad=True)
+    g = np.random.default_rng(4).normal(size=(*x.shape[:3], len(kernel)))
+    with Tape():
+        loss = mul(conv2d(Tensor(x), Tensor(kernel), bias), Tensor(g)).sum()
+    return backward(loss)[bias].tobytes()
+
+
+def test_the_conv_bias_gradient_splits_by_image_row_and_matches_one_lane(worker, monkeypatch):
+    # simple_cnn's conv1 at 28x28, batch 64: 14 rows of 64 x 28 x 32 addends per lane
+    gen = np.random.default_rng(5)
+    x, kernel = gen.normal(size=(64, 28, 28, 1)), gen.normal(size=(32, 1, 3, 3))
+    assert _bias_grad(x, kernel) == _one_lane(monkeypatch, _bias_grad, x, kernel)
+    assert worker.handed == 2  # the forward, and the bias gradient's batch sum
+
+
+def _dense(n: int) -> list[bytes]:
+    """dense1 of a 28x28 simple_cnn on n rows: the product, then both gradients."""
+    gen = np.random.default_rng(n)
+    a = Tensor(gen.normal(size=(n, 576)), requires_grad=True)
+    w = Tensor(gen.normal(size=(576, 256)), requires_grad=True)
+    with Tape():
+        out = matmul(a, w)
+        loss = mul(out, Tensor(gen.normal(size=out.shape))).sum()
+    grads = backward(loss)
+    return [out.data.tobytes(), grads[a].tobytes(), grads[w].tobytes()]
+
+
+@pytest.mark.parametrize("n", [64, 67], ids=["n64", "odd-n67"])
+def test_dense_products_split_by_row_and_match_one_lane(worker, monkeypatch, n):
+    # 67 rows split at row 32, not 33: the upper lane starts at an even row
+    assert _dense(n) == _one_lane(monkeypatch, _dense, n)
+    assert worker.handed == 3  # the product, and each of its gradients
+
+
+def _adam_case(steps: int, update) -> list[bytes]:
+    """``steps`` updates of a 28x28 simple_cnn by ``update(params, grads,
+    state, lr)`` from seeded gradients, a fifth of their entries +-0: the
+    parameters and both moments after them."""
+    model = build_simple_cnn((1, 28, 28), 10, seed=0)
+    state = AdamState(model.params)
+    gen = np.random.default_rng(6)
+    for step in range(steps):
+        grads = GradSet()
+        for e in model.params:
+            g = gen.normal(scale=1e-3, size=e.tensor.shape)
+            zeros = gen.random(g.shape) < 0.2
+            g[zeros] = np.copysign(0.0, gen.choice([-1.0, 1.0], size=int(zeros.sum())))
+            grads[e.name] = g
+        update(model.params, grads, state, 1e-3 / (step + 1))
+    return [a.tobytes() for e in model.params
+            for a in (e.tensor.data, state.m[e.name], state.v[e.name])]
+
+
+def test_adam_on_a_28x28_simple_cnn_matches_one_lane(worker, monkeypatch):
+    assert _adam_case(3, adam_step) == _one_lane(monkeypatch, _adam_case, 3, adam_step)
+    assert worker.handed == 3  # one lane of entries per step
+
+
+def _adam_reference(params, grads, state, lr):
+    """The Adam update as one expression per moment and parameter."""
+    state.t += 1
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
+    for e in params.entries:
+        g, m, v = grads[e.name], state.m[e.name], state.v[e.name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        e.tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+def test_adam_gives_the_bits_of_the_one_expression_update_over_20_steps(worker):
+    assert _adam_case(20, adam_step) == _adam_case(20, _adam_reference)
+    assert worker.handed == 20
 
 
 def test_a_failure_in_either_lane_reraises_in_the_caller(worker, monkeypatch):

@@ -6,8 +6,10 @@ and evaluation does not depend on dataset order. Then the probes of
 both models give, each probe batch costs two forwards per probe plus one
 per run for the initial model, and a run interrupted mid-epoch, or whose log
 write fails, keeps the ``metrics.csv`` rows, batch hashes and wall times of
-its finished epochs, but writes no ``summary.json``. A run leaves no file of an
-earlier run in its directory."""
+its finished epochs, but writes no ``summary.json``; a failed write leaves no
+part file. A run leaves no file of an earlier run in its directory. Each row of
+``wall_times.csv`` holds the lane worker's busy time in its step, at most the
+step's wall time, and 0 without a worker."""
 
 import math
 import warnings
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadtlab import harness, synth
+from sadtlab import autodiff, harness, synth
 from sadtlab.autodiff import Tensor, log_softmax_rows
 from sadtlab.config import parse_config
 from sadtlab.data import Dataset, load_idx
@@ -237,7 +239,7 @@ def test_a_run_interrupted_in_an_epoch_keeps_the_hashes_and_wall_times_before(pr
     run = tmp_path / "interrupted"
     assert (run / harness.HASHES_FILE).read_text().splitlines() == whole[:finished]
     wall = (run / harness.WALL_TIMES_FILE).read_text().splitlines()
-    assert wall[0] == "step,wall_ms"
+    assert wall[0] == "step,wall_ms,lane_ms"
     assert [int(line.split(",")[0]) for line in wall[1:]] == list(range(1, finished + 1))
     assert not (run / harness.SUMMARY_FILE).exists()  # compare refuses the run loudly
 
@@ -261,6 +263,7 @@ def test_a_failed_log_write_keeps_the_finished_epochs_logs(probe_config, monkeyp
     kept = (tmp_path / "full" / harness.METRICS_FILE).read_text()
     assert kept.count("\n") == 1 + 2 + 24 // BATCH + 2 + 1  # all of epoch 1, as above
     assert whole.startswith(kept)
+    assert not list((tmp_path / "full").glob("*.part"))  # the failed write left no part file
 
 
 def test_a_rerun_leaves_no_wall_times_of_the_run_before(probe_config):
@@ -293,3 +296,28 @@ def test_an_interrupted_rerun_leaves_no_summary_or_checkpoint_of_the_run_before(
                  harness.METRICS_FILE):
         assert not (run / name).exists(), name
     assert (run / "notes.txt").read_text() == "not a run file\n"  # only the run's files go
+
+
+@pytest.mark.parametrize("lanes", [True, False], ids=["worker", "no-worker"])
+def test_wall_times_hold_the_lane_workers_busy_share_of_each_step(tmp_path, monkeypatch, request,
+                                                                    lanes):
+    # 28x28 images at batch 64: the conv kernels split over the lanes
+    paths = synth.generate_dataset_files(tmp_path / "data", 128, 8, 3, 28, 28, seed=3)
+    config = tmp_path / "lanes.ini"
+    config.write_text(
+        "[data]\n" + "".join(f"{key} = {path}\n" for key, path in paths.items())
+        + "train_size = 128\ntest_size = 8\nnum_classes = 3\n"
+        "[train]\nepochs = 1\nbatch_size = 64\n"
+        f"[output]\ndir = {tmp_path / 'run'}\nwall_times = true\n"
+    )
+    if lanes:
+        request.getfixturevalue("worker")
+    else:
+        monkeypatch.setattr(autodiff, "_WORKER", None)
+    harness.run_experiment(parse_config(config))
+    lines = (tmp_path / "run" / harness.WALL_TIMES_FILE).read_text().splitlines()
+    assert lines[0] == "step,wall_ms,lane_ms"
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [1.0, 2.0]
+    for _, wall_ms, lane_ms in rows:
+        assert 0.0 < lane_ms <= wall_ms if lanes else lane_ms == 0.0
