@@ -6,11 +6,18 @@ once per loss: :func:`backward` walks the nodes below its loss in reverse
 append order, each at most once, and a second walk from the same loss
 raises. So several heads can share one recorded prefix: each head's loss is
 walked on its own, and the nodes of another head, which hold no gradient
-from this loss, are skipped. A walked tape's graph (each node's parents and
-backward function, and with them the pass's activations) is released at the
-next :func:`backward` of another tape on the same thread, so reference
-counting frees it; the most recently walked tape's graph stays alive until
-then, however often it is walked. ``tape.nodes`` itself is kept.
+from this loss, are skipped.
+
+A node links each parent to its node on the tape, or, for a leaf that takes
+a gradient, to the leaf; it holds no other tensor. So a graph holds what its
+backward functions read and nothing else, and an activation lives only as
+long as one of them reads it or the caller holds it: a recorded conv's
+output, which its pool reads only in its forward, is freed once the pool
+returns. A walked tape's graph (each node's links and backward function, and
+with them what those read) is released at the next :func:`backward` of
+another tape on the same thread, so reference counting frees it; the most
+recently walked tape's graph stays alive until then, however often it is
+walked. ``tape.nodes`` itself is kept.
 
 Each ``with tape:`` block is a recording session. One rule frees a recorded
 conv's im2col columns, its largest buffer: a conv recorded in its tape's
@@ -105,10 +112,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("parents", "backward_fn", "needs", "tape", "index")
+    __slots__ = ("links", "backward_fn", "needs", "tape", "index")
 
-    def __init__(self, parents, backward_fn, needs, tape, index):
-        self.parents: tuple[Tensor, ...] = parents
+    def __init__(self, links, backward_fn, needs, tape, index):
+        # per parent, as _link gives it
+        self.links: tuple[_Node | Tensor | None, ...] = links
         self.backward_fn: Callable[[np.ndarray, tuple], tuple] = backward_fn
         self.needs: tuple[bool, ...] = needs
         self.tape: Tape = tape
@@ -127,13 +135,16 @@ _ACTIVE = _ThreadTapes()
 class Tape:
     """Append-ordered operation record for one forward pass.
 
-    Used as a context manager; nested tapes are allowed and the innermost
-    one records. A tape may be entered again to record a further head onto
-    it; each entry starts a recording session at the current node count, and
-    ``session`` holds the latest one's first node index. No later session
-    has recorded a loss over the nodes from there on, so a conv among them
-    frees its columns when walked: shared layers go in a session of their
-    own. Single-threaded by construction (thread-local stack).
+    Each node links to its parents' nodes, or to a parent leaf that takes a
+    gradient, never to an intermediate tensor: the tape keeps what its
+    backward functions read. Used as a context manager; nested tapes are
+    allowed and the innermost one records. A tape may be entered again to
+    record a further head onto it; each entry starts a recording session at
+    the current node count, and ``session`` holds the latest one's first
+    node index. No later session has recorded a loss over the nodes from
+    there on, so a conv among them frees its columns when walked: shared
+    layers go in a session of their own. Single-threaded by construction
+    (thread-local stack).
     """
 
     def __init__(self):
@@ -151,29 +162,35 @@ class Tape:
         popped = _ACTIVE.stack.pop()
         assert popped is self
 
-    def _record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn, needs) -> None:
-        node = _Node(parents, backward_fn, needs, self, len(self.nodes))
+    def _record(self, out: Tensor, links: tuple, backward_fn) -> None:
+        needs = tuple(link is not None for link in links)
+        node = _Node(links, backward_fn, needs, self, len(self.nodes))
         self.nodes.append(node)
         out.node = node
 
 
-def _tracked(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or (t.node is not None and t.node.tape is tape)
+def _link(t: Tensor, tape: Tape) -> _Node | Tensor | None:
+    """What a node on ``tape`` keeps of its parent ``t``: the parent's node on
+    that tape, else the parent itself when it is a leaf that takes a gradient."""
+    if t.node is not None and t.node.tape is tape:
+        return t.node
+    return t if t.requires_grad else None
 
 
-def _recording(parents: tuple[Tensor, ...]) -> tuple[Tape, tuple[bool, ...]] | None:
-    """The tape that records an op over ``parents``, with which parents need a
-    gradient; None when no active tape tracks any of them."""
+def _recording(parents: tuple[Tensor, ...]) -> tuple[Tape, tuple] | None:
+    """The tape that records an op over ``parents``, with each parent's link
+    (None for a parent that takes no gradient); None when no active tape
+    tracks any of them."""
     tape = _ACTIVE.stack[-1] if _ACTIVE.stack else None
-    needs = () if tape is None else tuple(_tracked(p, tape) for p in parents)
-    return (tape, needs) if any(needs) else None
+    links = () if tape is None else tuple(_link(p, tape) for p in parents)
+    return (tape, links) if any(link is not None for link in links) else None
 
 
 def _apply(out_data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
     recording = _recording(parents)
     if recording is not None:
-        recording[0]._record(out, parents, backward_fn, recording[1])
+        recording[0]._record(out, recording[1], backward_fn)
     return out
 
 
@@ -208,24 +225,25 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             continue
         node = tape.nodes[idx]
         parent_grads = node.backward_fn(grad, node.needs)
-        for parent, pgrad in zip(node.parents, parent_grads):
-            if pgrad is None:
+        for link, pgrad in zip(node.links, parent_grads):
+            if pgrad is None or link is None:
                 continue
-            if parent.node is not None and parent.node.tape is tape:
-                j = parent.node.index
-                held = grads_by_node.get(j)
-                grads_by_node[j] = pgrad if held is None else held + pgrad
-            elif parent.requires_grad:
-                held = leaf_grads.get(parent)
-                leaf_grads[parent] = np.array(pgrad) if held is None else held + pgrad
+            if type(link) is _Node:
+                held = grads_by_node.get(link.index)
+                grads_by_node[link.index] = pgrad if held is None else held + pgrad
+            else:
+                held = leaf_grads.get(link)
+                leaf_grads[link] = np.array(pgrad) if held is None else held + pgrad
     # One tape behind, not this one: a whole pass freed at once goes back to the
     # OS and the next pass faults it in again. The older graph freed here sits
     # below the newer pass's buffers in the heap and is reused warm (28x28,
-    # batch 64: 10.7k-21k minor faults per baseline/sadt step against 0-3.6k).
+    # batch 64, wall_times.csv's minor_faults: a median of 3.0k-4.5k per
+    # baseline, sam or sadt step when each graph is freed after its own walk,
+    # against 0-2 here).
     previous = _ACTIVE.walked
     if previous is not None and previous is not tape:
         for node in previous.nodes:
-            node.parents = ()
+            node.links = ()
             node.backward_fn = None
         previous.released = True
     _ACTIVE.walked = tape
@@ -251,11 +269,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g, needs):
         return (
-            _unbroadcast(g, a.data.shape) if needs[0] else None,
-            _unbroadcast(g, b.data.shape) if needs[1] else None,
+            _unbroadcast(g, a_shape) if needs[0] else None,
+            _unbroadcast(g, b_shape) if needs[1] else None,
         )
 
     return _apply(out, (a, b), bw)
@@ -271,10 +290,10 @@ def scale(t: Tensor, c: float) -> Tensor:
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
+    shape, in_shape = tuple(int(s) for s in shape), t.shape
 
     def bw(g, needs):
-        return (g.reshape(t.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _apply(t.data.reshape(shape), (t,), bw)
 
@@ -306,8 +325,10 @@ def relu(t: Tensor) -> Tensor:
 
 
 def tensor_sum(t: Tensor) -> Tensor:
+    shape = t.shape
+
     def bw(g, needs):
-        return (np.full(t.data.shape, float(g)),)
+        return (np.full(shape, float(g)),)
 
     return _apply(np.sum(t.data), (t,), bw)
 
@@ -344,9 +365,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # speed rule alone, in the multiply-adds its cells cost (a lane of about 0.1 ms
 # against a handoff of about 0.02 ms).
 _LANE_MIN_WORK = 4_000_000
-# a pool cell's forward, pooled and rectified, takes about as long as this many
-# multiply-adds of a one-thread BLAS product (measured 28 on 28x28 conv1 and
-# conv2 outputs); one addend of the bias gradient's batch sum about 10 (9.4)
+# a pool cell, pooled and rectified, takes about as long as this many
+# multiply-adds of a one-thread BLAS product. Measured on 28x28 conv1 and conv2
+# outputs: 27 in an off-tape forward, 60-78 in a recording one, which also
+# finds the routed cell, and 26-39 in its backward's masked multiply. One value
+# serves all three: at 64, the recording pools of conv3 at 28x28, batch 64 and
+# of conv2 at 16x16, batch 32 would split, and two lanes took 0.40-0.52 against
+# 0.45 ms and 0.29 against 0.25 ms there. One addend of the bias gradient's
+# batch sum costs about 10 (9.4)
 _POOL_WORK_PER_CELL = 32
 _SUM_WORK_PER_CELL = 10
 # numpy's matmul releases the GIL only for a product of more output elements
@@ -589,7 +615,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     block += block % align
     parents = (x, kernel, bias)
     recording = _recording(parents)
-    keep = recording is not None and recording[1][1]  # the kernel gradient reads cols
+    keep = recording is not None and recording[1][1] is not None  # the kernel gradient reads cols
     cols = np.empty((n * hw, ckk)) if keep else None
     index = len(recording[0].nodes) if keep else -1  # the node _apply records
 
@@ -660,20 +686,22 @@ def max_pool2x2(t: Tensor) -> Tensor:
     The gradient is an exact partition: each window routes its gradient to
     one cell, the earliest maximum in window scan order; every other cell
     gets g * 0, a zero with g's sign. A window holding NaN routes nowhere
-    (its max, and so the loss, is NaN).
+    (its max, and so the loss, is NaN). A recorded pool finds that cell in
+    its forward and keeps a one-byte mask per input cell, not its input or
+    output, so its backward is one masked multiply.
     """
     return _pool(t, rectify=False)
 
 
 def max_pool2x2_relu(t: Tensor) -> Tensor:
     """``relu(max_pool2x2(t))`` as one op, the same bits in values and
-    gradients: each lane pools and then rectifies its own images, and its
-    backward masks the gradient with ``g * (out > 0)`` and routes it in the
-    same pass. It keeps one output, not two, and one tape node.
+    gradients: each lane pools and then rectifies its own images. A recorded
+    one masks its routing with ``max > 0`` in the same forward pass, so its
+    backward multiplies g by that one mask, and it keeps one tape node.
 
-    Routing by the rectified output is routing by the max: they differ only
-    in a window whose max is not > 0, and there the masked gradient is a zero
-    with g's sign (or NaN), which every cell gets, routed or not.
+    Masking the routed cell by ``max > 0`` gives the bits of ``relu``'s
+    ``g * (out > 0)`` followed by the pool's routing: both leave g where the
+    max is > 0 and routed, and elsewhere a zero with g's sign (or NaN).
     """
     return _pool(t, rectify=True)
 
@@ -690,12 +718,25 @@ def _pool(t: Tensor, rectify: bool) -> Tensor:
 
     x = t.data
     out = np.empty((n, h2, w2, c))
+    # a recording pool routes in its forward, so its graph holds neither x nor out
+    routed = None if _recording((t,)) is None else np.empty((n, h2, 2, w2, 2, c), dtype=bool)
     work = h * w * c * _POOL_WORK_PER_CELL
 
     def forward(lo, hi):
         win, top = windows(x[lo:hi]), out[lo:hi]
         np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1], out=top)
         np.maximum(top, np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]), out=top)
+        if routed is not None:
+            # one pass over x: a cell is a max where it equals the window's max
+            cells = routed[lo:hi]
+            np.equal(win, top[:, :, None, :, None, :], out=cells)
+            seen = cells[:, :, 0, :, 0].copy()
+            for i, j in ((0, 1), (1, 0), (1, 1)):
+                cell = cells[:, :, i, :, j]
+                np.greater(cell, seen, out=cell)  # on bools: cell and not seen
+                np.logical_or(seen, cell, out=seen)
+            if rectify:
+                cells &= (top > 0.0)[:, :, None, :, None, :]
         if rectify:
             np.maximum(top, 0.0, out=top)
 
@@ -703,21 +744,10 @@ def _pool(t: Tensor, rectify: bool) -> Tensor:
 
     def bw(g, needs):
         # odd extents leave a last row or column that no window covers: +0.0
-        even = h == h2 * 2 and w == w2 * 2
-        gx = np.empty(x.shape) if even else np.zeros(x.shape)
-        routed = np.empty((n, h2, 2, w2, 2, c), dtype=bool)
+        gx = np.empty((n, h, w, c)) if (h2 * 2, w2 * 2) == (h, w) else np.zeros((n, h, w, c))
 
         def backward_lane(lo, hi):
-            # one pass over x: a cell is a max where it equals the window's max
-            cells = routed[lo:hi]
-            np.equal(windows(x[lo:hi]), out[lo:hi, :, None, :, None, :], out=cells)
-            seen = cells[:, :, 0, :, 0].copy()
-            for i, j in ((0, 1), (1, 0), (1, 1)):
-                cell = cells[:, :, i, :, j]
-                np.greater(cell, seen, out=cell)  # on bools: cell and not seen
-                np.logical_or(seen, cell, out=seen)
-            lane_g = g[lo:hi] * (out[lo:hi] > 0.0) if rectify else g[lo:hi]
-            np.multiply(lane_g[:, :, None, :, None, :], cells, out=windows(gx[lo:hi]))
+            np.multiply(g[lo:hi, :, None, :, None, :], routed[lo:hi], out=windows(gx[lo:hi]))
 
         _lanes(n, work, backward_lane)
         return (gx,)

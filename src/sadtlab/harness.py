@@ -8,8 +8,9 @@ logs, given the same BLAS thread count: OpenBLAS splits a matmul's sums by
 its thread count, so one config run with a different number of threads
 writes different floats. The ``sadtlab`` command pins one thread unless the
 user set a count, and ``env.json`` records that environment beside the
-outputs. Wall-clock timings are kept out of the metric CSV (they are the one
-non-reproducible quantity) and go to an optional sidecar instead.
+outputs. Wall-clock timings and page-fault counts are kept out of the metric
+CSV (they are the non-reproducible quantities) and go to an optional sidecar
+instead.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class RunLog:
     config: ExperimentConfig
     rows: list[RunRow] = field(default_factory=list)
     batch_hashes: list[str] = field(default_factory=list)
-    wall_times: list[tuple[int, float, float]] = field(default_factory=list)  # step, wall, lane ms
+    # step, wall ms, lane ms, minor faults
+    wall_times: list[tuple[int, float, float, int]] = field(default_factory=list)
     final_accuracy: float | None = None
     final_loss: float | None = None
 
@@ -242,7 +244,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
                         lr=report.lr, grad_norm=report.grad_norm,
                     )
                 )
-                log.wall_times.append((step, report.wall_ms, report.lane_ms))
+                log.wall_times.append((step, report.wall_ms, report.lane_ms,
+                                       report.minor_faults))
             eval_pair(step, epoch)
             if opts.probe_every and epoch % opts.probe_every == 0:
                 sharp = estimate_sharpness(model, sharp_batches, opts.probe_rho)
@@ -286,8 +289,8 @@ def _write_logs(log: RunLog, out: Path) -> None:
     _replace_text(out / METRICS_FILE, log.csv_text())
     _replace_text(out / HASHES_FILE, "".join(f"{h}\n" for h in log.batch_hashes))
     if log.config.output.wall_times:
-        lines = ["step,wall_ms,lane_ms",
-                 *(f"{s},{wall:.3f},{lane:.3f}" for s, wall, lane in log.wall_times)]
+        rows = (f"{s},{wall:.3f},{lane:.3f},{faults}" for s, wall, lane, faults in log.wall_times)
+        lines = ["step,wall_ms,lane_ms,minor_faults", *rows]
         _replace_text(out / WALL_TIMES_FILE, "\n".join(lines) + "\n")
 
 

@@ -43,6 +43,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .autodiff import (
     Tape,
     Tensor,
@@ -103,8 +108,9 @@ class NonFiniteLossError(RuntimeError):
 @dataclass
 class StepReport:
     """Per-batch record: losses, learning rate, final gradient norm, timing:
-    the step's wall time and the lane worker's busy time within it (0 without
-    a worker)."""
+    the step's wall time, the lane worker's busy time within it (0 without
+    a worker), and the process's minor page faults during it (0 where the
+    ``resource`` module is missing)."""
 
     task_loss: float
     kl_loss: float
@@ -112,7 +118,12 @@ class StepReport:
     grad_norm: float
     wall_ms: float
     lane_ms: float
+    minor_faults: int
     flags: tuple[str, ...] = ()
+
+
+def _minor_faults() -> int:
+    return 0 if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 @dataclass
@@ -173,7 +184,7 @@ class Strategy:
         transform, sam, teachers = PRESETS[self.id]
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
         self._validate(teachers, ascent_lr, noise_seed)
-        start, busy = time.perf_counter(), lane_busy_s()
+        start, busy, faults = time.perf_counter(), lane_busy_s(), _minor_faults()
         split, noise, drawn = self._draw_ahead(model, teachers, noise_seed)
         try:
             task = lambda z: mixed_cross_entropy(z, batch, model.num_classes)  # noqa: E731
@@ -223,7 +234,9 @@ class Strategy:
             trace.final_grads = grads
         adam_step(model.params, grads, state, lr)
         wall_ms, lane_ms = (time.perf_counter() - start) * 1e3, (lane_busy_s() - busy) * 1e3
-        return StepReport(task_loss, kl_loss, lr, grads.global_norm(), wall_ms, lane_ms, flags)
+        faults = _minor_faults() - faults
+        return StepReport(task_loss, kl_loss, lr, grads.global_norm(), wall_ms, lane_ms, faults,
+                          flags)
 
     def _validate(self, teachers: tuple[str, ...], ascent_lr: float, noise_seed) -> None:
         """Reject what depends on the step's arguments before any pass runs."""

@@ -359,13 +359,15 @@ class TestTapeWalkedOncePerLoss:
         try:
             with Tape() as tape:  # the shared prefix in a session of its own
                 prefix = model.forward(Tensor(rng.uniform(size=(2, 1, 8, 8))), stop="dense1")
+            # each head's backward reads the weights; the pool keeps no output to watch
+            weights = Tensor(rng.normal(size=(2, 3)))
+            probe = weakref.ref(weights.data)
             with tape:
-                first = model.forward(prefix, start="dense1").sum()
-            probe = weakref.ref(prefix.data)
+                first = mul(model.forward(prefix, start="dense1"), weights).sum()
             backward(first)
             with tape:
-                second = model.forward(prefix, start="dense1").sum()
-            del prefix
+                second = mul(model.forward(prefix, start="dense1"), weights).sum()
+            del prefix, weights
             backward(second)
             assert probe() is not None  # the second walk kept its own tape's graph
             with Tape():

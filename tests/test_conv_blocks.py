@@ -16,17 +16,33 @@ conv walked again after the drop raises ``TapeError`` without gathering them
 again.
 In training and in the sharpness probe, each conv's images are gathered
 once per conv forward: no walk gathers them again.
+
+A recorded conv's output lives only until its pool's forward returns: the
+pool routes in its forward, and a tape node links to its parents' nodes, not
+their tensors. So a recorded 28x28 ``simple_cnn`` forward holds little more
+than its convs' columns and its pools' routing masks.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sadtlab import autodiff
-from sadtlab.autodiff import Tape, TapeError, Tensor, backward, conv2d, softmax_cross_entropy
+from sadtlab.autodiff import (
+    Tape,
+    TapeError,
+    Tensor,
+    backward,
+    conv2d,
+    max_pool2x2,
+    max_pool2x2_relu,
+    softmax_cross_entropy,
+)
 from sadtlab.data import MixedBatch
 from sadtlab.metrics import estimate_sharpness
 from sadtlab.nn import build_simple_cnn
@@ -232,6 +248,47 @@ def test_a_walk_from_the_convs_own_session_frees_its_columns(lanes):
     assert tape.nodes[0].backward_fn is not None  # the graph is still referenced
     cols_bytes = 64 * 14 * 14 * 32 * 9 * 8
     assert recorded - walked > 0.9 * cols_bytes
+
+
+@pytest.mark.parametrize("pool", [max_pool2x2, max_pool2x2_relu], ids=["pool", "pool-relu"])
+def test_a_recorded_convs_output_dies_once_its_pool_returns(lanes, pool):
+    # 28x28, 1 -> 32: the conv's and the pool's lanes split when a worker runs
+    x, kernel, bias = _operands(64, 28, 1, 32)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            out = conv2d(x, kernel, bias)
+            probe = weakref.ref(out.data)
+            pooled = pool(out)
+            del out
+            assert probe() is None  # no node holds it, and the pool routed in its forward
+            loss = pooled.sum()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not tape.walked
+    assert set(backward(loss)) == {kernel, bias}
+
+
+def test_a_recorded_simple_cnn_forward_keeps_its_columns_and_routing_masks_only(lanes):
+    # 28x28, batch 64: the convs' columns are 44.8 MiB and the pools' one-byte
+    # routing masks 2.4 MiB; the convs' outputs (19.9 MiB) and the pools'
+    # (4.9 MiB) are not kept
+    model = build_simple_cnn((1, 28, 28), 10, seed=0)
+    images = Tensor(np.random.default_rng(0).normal(size=(64, 1, 28, 28)))
+    tracemalloc.start()
+    try:
+        with Tape():
+            logits = model.forward(images)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    sides = (28, 14, 7)
+    cols = sum(64 * s * s * c * 9 * 8 for s, (c, _) in zip(sides, LAYERS))
+    masks = sum(64 * (s // 2 * 2) ** 2 * f for s, (_, f) in zip(sides, LAYERS))
+    assert logits.node is not None
+    assert retained < cols + masks + 2 * 2**20
 
 
 def _heads(model, x, targets, split: str | None) -> list[list[bytes]]:

@@ -161,6 +161,60 @@ def test_pool_relu_with_ties_signed_zeros_and_nan_matches_one_lane_and_relu_of_p
     assert fused == _one_lane(monkeypatch, _pool, x, lambda t: relu(max_pool2x2(t)))
 
 
+def _backward_time_routing(x: np.ndarray, out: np.ndarray, g: np.ndarray,
+                           rectify: bool) -> np.ndarray:
+    """The pool's input gradient as its backward found the routing when the
+    pool kept its input and output: each cell equal to its window's output,
+    the earliest in scan order, takes g, masked by ``out > 0`` after a ReLU."""
+    n, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+
+    def windows(a):
+        return a[:, : h2 * 2, : w2 * 2].reshape(len(a), h2, 2, w2, 2, c)
+
+    gx = np.empty(x.shape) if (h, w) == (h2 * 2, w2 * 2) else np.zeros(x.shape)
+    cells = np.empty((n, h2, 2, w2, 2, c), dtype=bool)
+    np.equal(windows(x), out[:, :, None, :, None, :], out=cells)
+    seen = cells[:, :, 0, :, 0].copy()
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        cell = cells[:, :, i, :, j]
+        np.greater(cell, seen, out=cell)
+        np.logical_or(seen, cell, out=seen)
+    masked = g * (out > 0.0) if rectify else g
+    np.multiply(masked[:, :, None, :, None, :], cells, out=windows(gx))
+    return gx
+
+
+# two lanes at the first three (7x7 and 15x13 are odd), one at the last
+ROUTING_SHAPES = [(64, 28, 28, 32), (64, 15, 13, 32), (256, 7, 7, 64), (3, 5, 7, 2)]
+
+
+@pytest.mark.parametrize("lanes", ["worker", "one-lane"])
+@pytest.mark.parametrize("op, rectify", [(max_pool2x2, False), (max_pool2x2_relu, True)],
+                         ids=["pool", "pool-relu"])
+@pytest.mark.parametrize("shape", ROUTING_SHAPES, ids=["28x28", "odd", "7x7-n256", "tiny-odd"])
+def test_forward_time_routing_gives_the_backward_time_routings_bits(request, monkeypatch, lanes,
+                                                                     op, rectify, shape):
+    if lanes == "worker":
+        worker = request.getfixturevalue("worker")
+    else:
+        monkeypatch.setattr(autodiff, "_WORKER", None)
+    gen = np.random.default_rng(list(shape))
+    # ties, signed zeros and NaN windows; g of both signs, with a few infinities and NaNs
+    x = gen.choice([-1.0, -0.0, 0.0, 0.5, 2.0, math.nan], size=shape)
+    g = gen.normal(size=(shape[0], shape[1] // 2, shape[2] // 2, shape[3]))
+    g.flat[::101], g.flat[1::101], g.flat[2::101] = math.inf, -math.inf, math.nan
+    t = Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        with Tape():
+            out = op(t)
+            loss = mul(out, Tensor(g)).sum()
+        gx = backward(loss)[t]
+        assert gx.tobytes() == _backward_time_routing(x, out.data, g, rectify).tobytes()
+    if lanes == "worker":
+        assert worker.handed == (2 if shape[0] > 3 else 0)  # the forward and the backward
+
+
 def _bias_grad(x: np.ndarray, kernel: np.ndarray) -> bytes:
     """The bias gradient of a conv whose input and kernel take none."""
     bias = Tensor(np.zeros(len(kernel)), requires_grad=True)

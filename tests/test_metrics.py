@@ -9,7 +9,7 @@ write fails, keeps the ``metrics.csv`` rows, batch hashes and wall times of
 its finished epochs, but writes no ``summary.json``; a failed write leaves no
 part file. A run leaves no file of an earlier run in its directory. Each row of
 ``wall_times.csv`` holds the lane worker's busy time in its step, at most the
-step's wall time, and 0 without a worker."""
+step's wall time, and 0 without a worker, and the step's minor page faults."""
 
 import math
 import warnings
@@ -239,7 +239,7 @@ def test_a_run_interrupted_in_an_epoch_keeps_the_hashes_and_wall_times_before(pr
     run = tmp_path / "interrupted"
     assert (run / harness.HASHES_FILE).read_text().splitlines() == whole[:finished]
     wall = (run / harness.WALL_TIMES_FILE).read_text().splitlines()
-    assert wall[0] == "step,wall_ms,lane_ms"
+    assert wall[0] == "step,wall_ms,lane_ms,minor_faults"
     assert [int(line.split(",")[0]) for line in wall[1:]] == list(range(1, finished + 1))
     assert not (run / harness.SUMMARY_FILE).exists()  # compare refuses the run loudly
 
@@ -316,8 +316,10 @@ def test_wall_times_hold_the_lane_workers_busy_share_of_each_step(tmp_path, monk
         monkeypatch.setattr(autodiff, "_WORKER", None)
     harness.run_experiment(parse_config(config))
     lines = (tmp_path / "run" / harness.WALL_TIMES_FILE).read_text().splitlines()
-    assert lines[0] == "step,wall_ms,lane_ms"
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    assert [row[0] for row in rows] == [1.0, 2.0]
-    for _, wall_ms, lane_ms in rows:
+    assert lines[0] == "step,wall_ms,lane_ms,minor_faults"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [1, 2]
+    for _, wall_ms, lane_ms, faults in rows:
+        wall_ms, lane_ms = float(wall_ms), float(lane_ms)
         assert 0.0 < lane_ms <= wall_ms if lanes else lane_ms == 0.0
+        assert int(faults) >= 0

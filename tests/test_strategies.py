@@ -100,6 +100,25 @@ class TestBaseline:
         report = Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.001)
         assert report.kl_loss == 0.0
 
+    def test_minor_faults_are_the_rusage_delta_around_the_step(self, monkeypatch):
+        calls = []
+
+        class Resource:
+            RUSAGE_SELF = 0
+
+            @staticmethod
+            def getrusage(who):
+                calls.append(who)
+                return type("Usage", (), {"ru_minflt": 1000 + 7 * len(calls)})
+
+        model, batch = mlp_and_batch()
+        monkeypatch.setattr(strategies, "resource", Resource)
+        report = Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.001)
+        assert report.minor_faults == 7 and calls == [0, 0]
+        monkeypatch.setattr(strategies, "resource", None)  # no resource module: no count
+        report = Strategy("baseline").step(model, batch, AdamState(model.params), lr=0.001)
+        assert report.minor_faults == 0
+
     def test_non_finite_loss_aborts_with_diagnostics(self):
         model, batch = mlp_and_batch()
         model.params.get("dense1.weight").data[0, 0] = np.nan
