@@ -33,22 +33,23 @@ an odd, square kernel, so a conv keeps its input's spatial extent.
 
 Tapes stay single-threaded: an op records on its caller's tape, and
 :func:`backward` runs every backward function on the caller's thread. Inside
-one op, when the process may run on more than one CPU, a kernel runs as two
+one op, when the process may run on more than one CPU, a kernel may run as two
 lanes: the caller takes the first half of its items, one worker thread the
-rest. By images: the padding, the im2col gather, both conv matmuls, the
-zeroing of the input gradient and ``col2im``, and the pool (with its ReLU in
-``max_pool2x2_relu``) forward and backward. By image row: the conv bias
-gradient's batch sum. By output channel: the conv kernel gradient, unless its
-lanes are too narrow for numpy to release the GIL (``_MATMUL_GIL_MAX_OUT``).
-By row: the dense products (``matmul`` and both its gradients). Lanes split
-only rows, images and channels, never a sum: each lane writes its own rows of
-buffers the caller allocated, with the kernel the whole array would get, and
-each lane's matmul is large enough (``_LANE_MIN_WORK``) that OpenBLAS
-multiplies it with the kernel it uses for the whole product, and starts at an
-even row. So one lane or two give the same bits. A conv lane walks its images
-in blocks of at least ``_LANE_MIN_WORK`` multiply-adds, forward and input
-gradient alike, so each block's product has the whole product's bits.
-``optim.adam_step`` splits whole parameter entries over the two lanes.
+rest. One rule decides every split (``_lane_split``): each lane holds at least
+two items and ``_LANE_MIN_WORK`` multiply-adds (or their cost), starts where
+the caller's ``align`` allows and, in a matmul, writes more than
+``_MATMUL_GIL_MAX_OUT`` elements, so that numpy releases the GIL. It splits by
+images the padding, the im2col gather, both conv matmuls, the input
+gradient's zeroing and ``col2im``, and the pool (and ReLU) forward and
+backward; by image row the conv bias gradient's batch sum; by row the dense
+products and the conv kernel gradient, whose rows are its output channels;
+and by element ``optim.adam_step``. Lanes never split a sum: each lane writes its own items
+of buffers the caller allocated, with the kernel the whole array would get,
+and each lane's matmul is large enough that OpenBLAS multiplies it with the
+kernel it uses for the whole product, and starts at an even row. So one lane
+or two give the same bits. A conv lane walks its images in blocks of at least
+``_LANE_MIN_WORK`` multiply-adds, forward and input gradient alike, so each
+block's product has the whole product's bits.
 
 Every job reaches the worker through ``_in_background``: the upper lane, and
 the teachers' noise draw that a training step hands it at its start; the
@@ -351,7 +352,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# lanes: a kernel's images, rows, channels or entries split over two cores
+# lanes: a kernel's images, rows, channels or elements split over two cores
 # ---------------------------------------------------------------------------
 
 # Least multiply-adds each lane must hold, or a kernel runs on one lane. It is
@@ -415,7 +416,8 @@ class _Worker:
             reply.put(failure)
             del failure
 
-    def submit(self, fn: Callable[[], None]) -> queue.SimpleQueue:
+    def submit(self, fn: Callable[[], None]) -> Callable[[], None]:
+        """Queue ``fn()`` and return a wait for it (see ``_in_background``)."""
         with self._starting:
             if self._thread is None:
                 self._thread = threading.Thread(target=self._serve, name="sadtlab-lane",
@@ -424,7 +426,14 @@ class _Worker:
         reply: queue.SimpleQueue = queue.SimpleQueue()
         errstate = {**np.geterr(), "call": np.geterrcall()}
         self._jobs.put((fn, errstate, reply))
-        return reply
+
+        def wait() -> None:
+            failure = reply.get()
+            reply.put(failure)  # so the next wait returns, or raises, at once
+            if failure is not None:
+                raise failure
+
+        return wait
 
 
 def _new_worker() -> _Worker | None:
@@ -451,50 +460,52 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_worker)
 
 
-def _lanes(n: int, work_per_item: int, fn: Callable[[int, int], None], align: int = 1) -> None:
-    """Run ``fn(lo, hi)`` over the items ``[0, n)``: the caller runs
-    ``fn(0, half)`` while the worker runs ``fn(half, n)``, where ``half`` is
-    ``n // 2`` rounded down to a multiple of ``align``, or the caller runs
-    ``fn(0, n)`` alone when there is no worker or a lane would hold fewer
-    than ``_LANE_MIN_WORK`` multiply-adds.
-
-    ``fn`` writes only items ``[lo, hi)`` of buffers the caller allocated,
-    with numpy kernels only. A failure in either lane re-raises here once
-    both have ended; when both fail, the worker's failure wins, chained to
-    the caller's.
-    """
+def _lane_split(n: int, work_per_item: float, align: int = 1,
+                out_per_item: float = np.inf) -> int:
+    """Where ``_lanes`` splits the items ``[0, n)``, by the rule the module
+    docstring states: at ``n // 2`` rounded down to a multiple of ``align``,
+    or at 0, one lane. Each item costs ``work_per_item`` multiply-adds and, in
+    a matmul, writes ``out_per_item`` elements."""
+    # One item per lane never splits: a one-channel kernel-gradient lane would
+    # turn numpy's gemm into a gemv, which sums in another order. align is per
+    # call, 2 where OpenBLAS must see a lane start at an even row: aligning
+    # every split would drop conv2's bias-gradient sum at 28x28 to one lane
+    # (6 rows x 573,440 multiply-adds < 4e6).
     half = n // 2 // align * align
-    # one item per lane never splits: a kernel-gradient lane of one channel
-    # would turn numpy's gemm into a gemv, which sums in another order
-    if _WORKER is None or half < 2 or half * work_per_item < _LANE_MIN_WORK:
+    one_lane = (_WORKER is None or half < 2 or half * work_per_item < _LANE_MIN_WORK
+                or half * out_per_item <= _MATMUL_GIL_MAX_OUT)
+    return 0 if one_lane else half
+
+
+def _lanes(n: int, work_per_item: float, fn: Callable[[int, int], None], align: int = 1,
+           out_per_item: float = np.inf) -> None:
+    """Run ``fn(0, half)`` here while the worker runs ``fn(half, n)``, split
+    where ``_lane_split`` says, or ``fn(0, n)`` here alone. ``fn`` writes only
+    items ``[lo, hi)`` of buffers the caller allocated, with numpy kernels
+    only. A failure in either lane re-raises here once both have ended; when
+    both fail, the worker's failure wins, chained to the caller's."""
+    half = _lane_split(n, work_per_item, align, out_per_item)
+    if not half:
         fn(0, n)
         return
-    _both(lambda: fn(0, half), lambda: fn(half, n))
-
-
-def _both(lower: Callable[[], None], upper: Callable[[], None]) -> None:
-    """Run ``lower()`` here while the worker runs ``upper()``; return once
-    both have ended (see ``_lanes`` for failures)."""
-    wait = _in_background(upper)
+    wait = _in_background(lambda: fn(half, n))
     try:
-        lower()
+        fn(0, half)
     finally:
         wait()  # the worker's lane must end before the buffers are used
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of rank-2 arrays, its rows split over the lanes when each
-    lane's product clears ``_LANE_MIN_WORK`` and writes more than
-    ``_MATMUL_GIL_MAX_OUT`` elements; the upper lane starts at an even row."""
+    """``a @ b`` of rank-2 arrays, its rows split over the lanes from an even row."""
     n, k, m = *a.shape, b.shape[1]
-    if (n // 2) * m <= _MATMUL_GIL_MAX_OUT or (n // 2) * k * m < _LANE_MIN_WORK:
+    if not _lane_split(n, k * m, 2, m):
         return a @ b  # one lane, without the row walk's ~1 us (an 8x8 product takes 1.5-15 us)
     out = np.empty((n, m))
 
     def rows(lo, hi):
         np.matmul(a[lo:hi], b, out=out[lo:hi])
 
-    _lanes(n, k * m, rows, align=2)
+    _lanes(n, k * m, rows, align=2, out_per_item=m)
     return out
 
 
@@ -511,15 +522,7 @@ def _in_background(fn: Callable[[], None]) -> Callable[[], None]:
     if worker is None:
         fn()
         return lambda: None
-    reply = worker.submit(fn)
-
-    def wait() -> None:
-        failure = reply.get()
-        reply.put(failure)  # so the next wait returns, or raises, at once
-        if failure is not None:
-            raise failure
-
-    return wait
+    return worker.submit(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +638,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             if cols is None:
                 raise TapeError("an earlier walk of its session freed this conv's columns; "
                                 "layers several losses share go in their own `with tape:` session")
-            gk = np.empty(kernel.data.shape)
-            gk_rows = gk.reshape(f, ckk)
-
-            def kernel_grad(lo, hi):
-                np.matmul(gm[:, lo:hi].T, cols, out=gk_rows[lo:hi])
-
-            if (f // 2) * ckk > _MATMUL_GIL_MAX_OUT:  # conv1's lanes write 16 x 9
-                _lanes(f, n * hw * ckk, kernel_grad)
-            else:
-                kernel_grad(0, f)
+            # by output channel; conv1's lanes would write 16 x 9, under the GIL
+            gk = _matmul(gm.T, cols).reshape(kernel.data.shape)
             if index >= recording[0].session:  # no later session reads them: free them now
                 cols = None
         if needs[0]:

@@ -16,6 +16,7 @@ instead.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -149,11 +150,23 @@ def dataset_fingerprint(cfg: ExperimentConfig) -> str:
     return digest.hexdigest()
 
 
+def _blas_core() -> str | None:
+    """The kernel numpy's OpenBLAS runs, which it picks at run time unless
+    ``OPENBLAS_CORETYPE`` forces one; None where its BLAS does not say."""
+    try:  # a symbol lookup on numpy's extension also searches the libraries it links
+        corename = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
     """What a run's floats depend on beyond its config: the numpy version, its
-    BLAS (name, version, build configuration), the BLAS thread variables
-    (null when unset) and the count of CPUs the process may run on, its
-    affinity where the OS has one: more than one starts the conv lane worker."""
+    BLAS (name, version, build configuration, the kernel that runs and
+    ``OPENBLAS_CORETYPE``), the BLAS thread variables (null when unset) and
+    the count of CPUs the process may run on, its affinity where the OS has
+    one: more than one starts the conv lane worker."""
     try:
         deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     except TypeError:  # numpy before 1.26 has no mode="dicts"
@@ -165,6 +178,8 @@ def environment() -> dict:
             "name": blas.get("name"),
             "version": blas.get("version"),
             "configuration": blas.get("openblas configuration"),
+            "core": _blas_core(),
+            "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
         },
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "cpu_count": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -1,8 +1,8 @@
 """Adam with cosine decay, gradient transforms, and parameter shifts.
 
-Adam updates the parameters and both moments in place, each entry through
-two scratch buffers rather than a temporary per operation, and splits the
-entries over the lane worker when both lanes are large enough.
+Adam updates the parameters and both moments in place, through two scratch
+buffers per lane rather than a temporary per operation. It is elementwise, so
+``autodiff._lanes`` splits the concatenation of the entries' elements.
 
 A gradient set is ``{name: array}`` in parameter order, like every other
 per-parameter set; every operation on one re-checks its alignment. Gradient
@@ -22,18 +22,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import _both
-from .nn import ParamEntry, ParamSet
+from .autodiff import _lanes
+from .nn import ParamSet
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 AGC_EPS = 1e-3
-# Least elements each lane of an Adam step must hold, or the step runs on one
-# lane. A 28x28 simple_cnn's lanes hold 147k and 90k elements; an 8x8 one's
-# about 53k each, and stay on one lane, where a split saved about 0.05 ms of a
-# 2.3-6.7 ms step.
-_ADAM_LANE_MIN = 64_000
+# An Adam element's cost in ``autodiff._LANE_MIN_WORK``'s multiply-adds. On
+# one lane, a 28x28 simple_cnn's 14 ufuncs took 7.6-8.4 ns an element, as long
+# as 137-232 multiply-adds of a one-thread dgemm of its conv shapes; but at 8x8
+# two lanes of ~53k elements saved only ~0.05 ms of a 2.3-6.7 ms step. 62.5
+# keeps the 64,000-element lane floor: any value from 51.4 to 75.0 (4e6 over
+# half of 155,722 and of 106,570 elements) splits at 28x28 and 16x16, not 8x8.
+_ADAM_WORK_PER_ELEMENT = 62.5
 
 PARAM_FILTERS = ("all", "last-conv", "last-dense")
 
@@ -132,22 +134,31 @@ class AdamState:
 def adam_step(params: ParamSet, grads: GradSet, state: AdamState, lr: float) -> ParamSet:
     """One bias-corrected Adam update, in place; advances the state by one step.
 
-    Per entry, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    Per element, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, each ufunc in that order, writing
-    into two scratch buffers per lane. The entries are dealt, largest first,
-    to the lighter of two lanes; when each lane holds at least
-    ``_ADAM_LANE_MIN`` elements, the lane worker runs one of them.
+    into two scratch buffers per lane. A lane updates its slice of every
+    entry it overlaps.
     """
     grads.check_aligned(params)
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
+    total = sum(e.tensor.data.size for e in params.entries)
 
-    def update(entries: list[ParamEntry]) -> None:
-        most = max((e.tensor.data.size for e in entries), default=0)
+    def update(lo: int, hi: int) -> None:
+        # the lane's part of each entry: a whole one as it is, the one it shares flat
+        pieces, start = [], 0
+        for e in params.entries:
+            arrays = (e.tensor.data, grads[e.name], state.m[e.name], state.v[e.name])
+            a, b = max(lo - start, 0), min(hi - start, e.tensor.data.size)
+            start += e.tensor.data.size
+            if b - a == e.tensor.data.size:
+                pieces.append(arrays)
+            elif a < b:
+                pieces.append([x.reshape(-1)[a:b] for x in arrays])
+        most = max((p.size for p, *_ in pieces), default=0)
         t_buf, u_buf = np.empty(most), np.empty(most)
-        for e in entries:
-            p, g, m, v = e.tensor.data, grads[e.name], state.m[e.name], state.v[e.name]
+        for p, g, m, v in pieces:
             t, u = t_buf[: p.size].reshape(p.shape), u_buf[: p.size].reshape(p.shape)
             m *= ADAM_BETA1
             np.multiply(g, 1.0 - ADAM_BETA1, out=t)
@@ -164,16 +175,7 @@ def adam_step(params: ParamSet, grads: GradSet, state: AdamState, lr: float) -> 
             u /= t
             p -= u
 
-    lanes: tuple[list[ParamEntry], list[ParamEntry]] = ([], [])
-    loads = [0, 0]
-    for e in sorted(params.entries, key=lambda e: -e.tensor.data.size):
-        lane = loads.index(min(loads))
-        lanes[lane].append(e)
-        loads[lane] += e.tensor.data.size
-    if min(loads) < _ADAM_LANE_MIN:
-        update(params.entries)
-    else:
-        _both(lambda: update(lanes[0]), lambda: update(lanes[1]))
+    _lanes(total, _ADAM_WORK_PER_ELEMENT, update)
     return params
 
 

@@ -29,7 +29,8 @@ def _identity(run: dict) -> dict:
     identity = {key: run["summary"][key] for key in ("dataset_fingerprint", "arch")}
     if run["env"] is not None:
         blas, threads = run["env"].get("blas", {}), run["env"].get("threads", {})
-        setup = {"blas name": blas.get("name"), "blas version": blas.get("version"), **threads}
+        setup = {f"blas {key}": blas.get(key) for key in ("name", "version", "core")}
+        setup.update(OPENBLAS_CORETYPE=blas.get("OPENBLAS_CORETYPE"), **threads)
         identity.update({f"env.json {key}": value for key, value in setup.items()})
     return identity
 
@@ -48,7 +49,8 @@ def compare_runs(run_dirs: list, out_dir) -> str:
 
     The runs must agree on every key of their identity: ``dataset_fingerprint``,
     ``arch`` and, among the runs that have an ``env.json``, ``env.json blas
-    name``, ``env.json blas version`` and one ``env.json <VAR>`` per thread
+    name``, ``env.json blas version``, ``env.json blas core`` (the kernel that
+    ran), ``env.json OPENBLAS_CORETYPE`` and one ``env.json <VAR>`` per thread
     variable, since those change the floats. A run without an ``env.json``
     skips its keys; a key that one ``env.json`` lacks counts as null. The
     best accuracy per seed column is flagged with '*' in the text table and

@@ -23,7 +23,7 @@ import pytest
 from sadtlab import BLAS_THREAD_VARS, InputError, cli, synth
 from sadtlab.config import ConfigError, parse_config
 from sadtlab.data import DataFormatError, load_idx, write_idx_images, write_idx_labels
-from sadtlab.harness import CompareError, environment, run_experiment
+from sadtlab.harness import CompareError, _blas_core, environment, run_experiment
 from sadtlab.nn import CheckpointError, build_simple_cnn, load_checkpoint, save_checkpoint
 from sadtlab.optim import NoiseError
 
@@ -103,12 +103,17 @@ def test_comparison_lists_both_strategies(session):
 def test_run_directory_records_its_environment(session):
     root, _, _ = session
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert json.loads((root / "runs" / "baseline" / "env.json").read_text()) == {
+    env = json.loads((root / "runs" / "baseline" / "env.json").read_text())
+    if "openblas" in blas["name"]:  # the kernel the loaded OpenBLAS names, as "SkylakeX"
+        assert env["blas"]["core"] and env["blas"]["core"] == _blas_core()
+    assert env == {
         "numpy": np.__version__,
         "blas": {
             "name": blas["name"],
             "version": blas["version"],
             "configuration": blas["openblas configuration"],
+            "core": env["blas"]["core"],
+            "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
         },
         # conftest.py pins one BLAS thread
         "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},

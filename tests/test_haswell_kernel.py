@@ -5,9 +5,11 @@ numpy's bundled OpenBLAS picks its kernel at run time, and
 AVX-512 get, rounds a run of rows that starts at an odd row differently from
 the whole product, so every lane and block of conv images must start at an
 even row. This runs ``tests/test_lanes.py`` and ``tests/test_conv_blocks.py``
-in a subprocess on that kernel, whatever kernel this process uses.
+in a subprocess on that kernel, whatever kernel this process uses, and
+checks that a run's ``env.json`` would record the kernel the variable forced.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,9 +29,13 @@ def _cpu_flags() -> set[str]:
         return set()
 
 
-@pytest.mark.skipif("avx2" not in _cpu_flags(),
-                    reason="the CPU lacks AVX2 (no avx2 flag in /proc/cpuinfo), so it cannot "
-                           "run OpenBLAS's Haswell kernel")
+needs_avx2 = pytest.mark.skipif(
+    "avx2" not in _cpu_flags(),
+    reason="the CPU lacks AVX2 (no avx2 flag in /proc/cpuinfo), so it cannot run OpenBLAS's "
+           "Haswell kernel")
+
+
+@needs_avx2
 def test_lane_and_block_cases_hold_on_the_haswell_kernel():
     env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
     run = subprocess.run(
@@ -39,3 +45,17 @@ def test_lane_and_block_cases_hold_on_the_haswell_kernel():
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
     assert " passed" in run.stdout
+
+
+@needs_avx2
+def test_the_environment_records_the_kernel_openblas_core_type_forces():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; sys.path.insert(0, 'src'); from sadtlab.harness import environment; "
+         "print(json.dumps(environment()))"],
+        cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    blas = json.loads(run.stdout)["blas"]
+    assert (blas["core"], blas["OPENBLAS_CORETYPE"]) == ("Haswell", "Haswell")

@@ -1,11 +1,14 @@
 """Lanes: kernels split over two threads give the same bits.
 
-Every value and gradient of ``conv2d``, ``max_pool2x2``, ``max_pool2x2_relu``
-and ``matmul``, and every array ``adam_step`` updates, is compared by
+One rule, ``autodiff._lane_split``, decides every split. Every value and
+gradient of ``conv2d``, ``max_pool2x2``, ``max_pool2x2_relu`` and ``matmul``,
+and every array ``adam_step`` updates (split by elements), is compared by
 ``tobytes`` with a lane worker and with ``autodiff._WORKER`` off, where every
 kernel runs on one lane. The worker fixture makes a worker even on a one-CPU
 machine, so these tests run the two-lane path everywhere, and it counts the
-lanes handed over, so a case that should split is known to have split.
+lanes handed over, so a case that should split is known to have split. A
+table pins how many lanes each strategy's training step hands over at the
+benchmark's shapes.
 """
 
 import math
@@ -31,8 +34,10 @@ from sadtlab.autodiff import (
     max_pool2x2_relu,
     relu,
 )
-from sadtlab.nn import build_simple_cnn
+from sadtlab.data import MixedBatch
+from sadtlab.nn import ParamSet, build_simple_cnn
 from sadtlab.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, GradSet, adam_step
+from sadtlab.strategies import STRATEGY_IDS, Strategy
 
 from conftest import mul
 
@@ -251,22 +256,23 @@ def test_dense_products_split_by_row_and_match_one_lane(worker, monkeypatch, n):
     assert worker.handed == 3  # the product, and each of its gradients
 
 
-def _adam_case(steps: int, update) -> list[bytes]:
-    """``steps`` updates of a 28x28 simple_cnn by ``update(params, grads,
-    state, lr)`` from seeded gradients, a fifth of their entries +-0: the
-    parameters and both moments after them."""
-    model = build_simple_cnn((1, 28, 28), 10, seed=0)
-    state = AdamState(model.params)
+def _adam_case(steps: int, update, params: ParamSet | None = None) -> list[bytes]:
+    """``steps`` updates of ``params`` (a 28x28 simple_cnn's by default) by
+    ``update(params, grads, state, lr)`` from seeded gradients, a fifth of
+    their entries +-0: the parameters and both moments after them."""
+    if params is None:
+        params = build_simple_cnn((1, 28, 28), 10, seed=0).params
+    state = AdamState(params)
     gen = np.random.default_rng(6)
     for step in range(steps):
         grads = GradSet()
-        for e in model.params:
+        for e in params:
             g = gen.normal(scale=1e-3, size=e.tensor.shape)
             zeros = gen.random(g.shape) < 0.2
             g[zeros] = np.copysign(0.0, gen.choice([-1.0, 1.0], size=int(zeros.sum())))
             grads[e.name] = g
-        update(model.params, grads, state, 1e-3 / (step + 1))
-    return [a.tobytes() for e in model.params
+        update(params, grads, state, 1e-3 / (step + 1))
+    return [a.tobytes() for e in params
             for a in (e.tensor.data, state.m[e.name], state.v[e.name])]
 
 
@@ -292,6 +298,49 @@ def _adam_reference(params, grads, state, lr):
 def test_adam_gives_the_bits_of_the_one_expression_update_over_20_steps(worker):
     assert _adam_case(20, adam_step) == _adam_case(20, _adam_reference)
     assert worker.handed == 20
+
+
+def _odd_split_params() -> ParamSet:
+    # 5 + 105 + 18 elements: the lanes meet at element 64, offset 59 of the second entry
+    gen = np.random.default_rng(7)
+    return ParamSet.from_named_arrays([(name, gen.normal(size=shape)) for name, shape in (
+        ("conv1.bias", (5,)), ("conv1.weight", (5, 7, 3)), ("dense1.weight", (2, 9)))])
+
+
+def test_adam_lanes_that_meet_inside_an_entry_at_an_odd_offset_match_one_lane(worker,
+                                                                                monkeypatch):
+    monkeypatch.setattr(autodiff, "_LANE_MIN_WORK", 64)
+    assert autodiff._lane_split(128, 1.0) == 64
+    lanes = _adam_case(4, adam_step, _odd_split_params())
+    assert worker.handed == 4  # one lane handed over per step
+    assert lanes == _one_lane(monkeypatch, _adam_case, 4, adam_step, _odd_split_params())
+    assert lanes == _adam_case(4, _adam_reference, _odd_split_params())
+
+
+# lanes handed to the worker in one training step of simple_cnn, per strategy in
+# STRATEGY_IDS order, at the benchmark's three (side, batch) shapes; a sadt step
+# also hands over its teachers' noise draw
+STEP_HANDOFFS = {
+    (28, 64): (17, 17, 17, 33, 35, 47, 35),
+    (16, 32): (9, 9, 9, 17, 19, 25, 19),
+    (8, 16): (0, 0, 0, 0, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("side, batch", STEP_HANDOFFS, ids=[f"{s}x{s}-b{b}" for s, b in STEP_HANDOFFS])
+def test_each_strategy_step_hands_the_worker_its_pinned_number_of_lanes(worker, side, batch):
+    assert STRATEGY_IDS == ("baseline", "gc", "agc", "sam", "sadt_v1", "sadt_v2", "sadt_v3")
+    gen = np.random.default_rng(side)
+    images = gen.uniform(0.0, 1.0, (batch, 1, side, side))
+    handed = []
+    for strategy_id in STRATEGY_IDS:
+        model = build_simple_cnn((1, side, side), 10, seed=0)
+        before = worker.handed
+        Strategy(strategy_id).step(model, MixedBatch.plain(images, gen.integers(0, 10, batch)),
+                                   AdamState(model.params), 1e-3,
+                                   noise_seed=np.random.SeedSequence(0))
+        handed.append(worker.handed - before)
+    assert tuple(handed) == STEP_HANDOFFS[side, batch]
 
 
 def test_a_failure_in_either_lane_reraises_in_the_caller(worker, monkeypatch):

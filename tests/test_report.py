@@ -103,7 +103,8 @@ class TestPinnedOutputs:
 
 ENV = {
     "numpy": "2.0.0",
-    "blas": {"name": "scipy-openblas", "version": "0.3.27", "configuration": "USE64BITINT"},
+    "blas": {"name": "scipy-openblas", "version": "0.3.27", "configuration": "USE64BITINT",
+             "core": "SkylakeX", "OPENBLAS_CORETYPE": None},
     "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None},
     "cpu_count": 2,
 }
@@ -134,6 +135,8 @@ def incomparable_runs(tmp_path, case):
     write_env(runs[1], **{
         "blas-name": {"blas": {"name": "mkl"}},
         "blas-version": {"blas": {"version": "0.3.21"}},
+        "blas-core": {"blas": {"core": "Haswell"}},
+        "coretype": {"blas": {"OPENBLAS_CORETYPE": "SkylakeX"}},  # the kernel it would pick anyway
         "thread-unset": {"threads": {"OPENBLAS_NUM_THREADS": None}},
         "thread-count": {"threads": {"OMP_NUM_THREADS": "2"}},
         "thread-missing": {"threads": {"OMP_NUM_THREADS": "2"}},
@@ -152,6 +155,8 @@ COMPARE_ERRORS = {
     "duplicate": "duplicate run for strategy/seed ('baseline', 0)",
     "blas-name": "runs are not comparable: env.json blas name differs: ['mkl', 'scipy-openblas']",
     "blas-version": "runs are not comparable: env.json blas version differs: ['0.3.21', '0.3.27']",
+    "blas-core": "runs are not comparable: env.json blas core differs: ['Haswell', 'SkylakeX']",
+    "coretype": "runs are not comparable: env.json OPENBLAS_CORETYPE differs: ['None', 'SkylakeX']",
     "thread-unset": (
         "runs are not comparable: env.json OPENBLAS_NUM_THREADS differs: ['1', 'None']"
     ),
