@@ -32,7 +32,7 @@ from .data import Dataset, MixedBatch, cutmix, load_cifar_binary, load_idx, make
 from .metrics import (
     estimate_sharpness, evaluate, model_divergence, probe_batches, probe_logits,
 )
-from .nn import Model, build_simple_cnn, build_tiny_mlp, save_checkpoint
+from .nn import Model, build_simple_cnn, build_tiny_mlp, replace_whole, save_checkpoint
 from .optim import AdamState, Schedule, cosine_lr
 from .strategies import STRATEGY_IDS, NonFiniteLossError
 
@@ -289,15 +289,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
 
 
 def _replace_text(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: a failed write leaves the old file,
-    and no part file beside it."""
-    part = path.with_name(path.name + ".part")
-    try:
+    with replace_whole(path) as part:
         part.write_text(text)
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
 
 
 def _write_logs(log: RunLog, out: Path) -> None:

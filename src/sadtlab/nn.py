@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -303,17 +305,26 @@ def model_from_params(params: ParamSet, input_shape: tuple[int, ...] | None = No
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def replace_whole(path):
+    """Yield ``<path>.part`` to write ``path`` whole or not at all: the part
+    replaces ``path`` after the block, and is removed if the block fails."""
+    part = Path(f"{path}.part")
+    try:
+        yield part
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(params: ParamSet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+    with replace_whole(path) as part, open(part, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
         for e in params.entries:
-            name = e.name.encode("utf-8")
-            arr = e.tensor.data
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            name, arr = e.name.encode("utf-8"), e.tensor.data
+            head = struct.pack(f"<I{len(name)}sI{arr.ndim}Q", len(name), name, arr.ndim, *arr.shape)
+            fh.write(head)
             fh.write(arr.astype("<f8", copy=False).tobytes())
 
 

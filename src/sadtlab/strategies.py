@@ -38,7 +38,7 @@ ascent_lr times the task gradient plus N(0, sigma_g^2), to every entry.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,12 +60,11 @@ from .autodiff import (
     softmax_cross_entropy,
 )
 from .data import MixedBatch
-from .nn import Model, ParamSet
+from .nn import Model
 from .optim import (
     PARAM_FILTERS,
     AdamState,
     GradSet,
-    NoiseRecord,
     adam_step,
     adaptive_gradient_clip,
     add_noise,
@@ -75,12 +74,12 @@ from .optim import (
     subtract_noise,
 )
 
-# Strategy.step calls backward and the optim functions above through this
-# module's globals, never through a local alias or a stored reference, so a
-# profiler can wrap any of them by reassigning the attribute on
-# sadtlab.strategies (perfbench/tracing.py does). All of them, add_noise and
-# subtract_noise for every teacher's shift, run on the caller's thread: the
-# lane worker runs only _draw (Generator.normal), never a name one may wrap.
+# Strategy.step calls backward, sam_point and the optim functions above through
+# this module's globals, never through a local alias or a stored reference, so
+# an observer wraps any of them by reassigning the attribute on sadtlab.strategies:
+# perfbench/tracing.py times them, and the tests' spy_step records the shifted
+# copies, shift records and final gradient. All of them run on the caller's thread;
+# the lane worker runs only _draw (Generator.normal), never a name one may wrap.
 
 
 class Preset(NamedTuple):
@@ -127,22 +126,6 @@ def _minor_faults() -> int:
 
 
 @dataclass
-class StepTrace:
-    """Optional instrumentation: named snapshots of the shifted copies taken
-    mid-step ("perturbed", "w_up", "aux_<i>", "rollback_<i>"), one shift record
-    per teacher in teacher order, and the gradient fed to the final update."""
-
-    marks: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    records: list[NoiseRecord] = field(default_factory=list)
-    final_grads: GradSet | None = None
-
-
-def _mark(trace: StepTrace | None, name: str, params: ParamSet) -> None:
-    if trace is not None:
-        trace.marks[name] = params.snapshot()
-
-
-@dataclass
 class Strategy:
     """Strategy id plus the hyperparameters its step consumes."""
 
@@ -179,7 +162,6 @@ class Strategy:
         state: AdamState,
         lr: float,
         noise_seed: np.random.SeedSequence | None = None,
-        trace: StepTrace | None = None,
     ) -> StepReport:
         transform, sam, teachers = PRESETS[self.id]
         ascent_lr = lr if self.ascent_lr is None else self.ascent_lr
@@ -199,30 +181,24 @@ class Strategy:
                 if shifted is None:  # skip the ascent: the step degenerates to baseline
                     flags = ("zero-gradient",)
                 else:
-                    _mark(trace, "perturbed", shifted.params)
                     _, _, grads = _grad_pass(shifted, Tensor(batch.images), task, "task")
             kl_loss = 0.0
             if teachers:
                 # transient update of a copy on a state clone: w and the moments stay put
                 teacher = model.clone()
                 adam_step(teacher.params, grads, state.clone(), lr)
-                _mark(trace, "w_up", teacher.params)
                 parts = [grads]
                 kl_of = lambda z: kl_divergence(Tensor(logits_w), z, detach_p=True)  # noqa: E731
                 # the teachers share the forward of the layers before ``split``
                 with Tape() as tape:
                     x = teacher.forward(Tensor(batch.images), stop=split)
                 drawn()
-                for i, (layer_filter, shift) in enumerate(zip(teachers, noise)):
+                for layer_filter, shift in zip(teachers, noise):
                     if layer_filter == "gradient-all":  # a noisy ascent step
                         shift = {n: ascent_lr * (g + shift[n]) for n, g in grads.items()}
                     record = add_noise(teacher.params, shift)
-                    if trace is not None:
-                        trace.records.append(record)
-                    _mark(trace, f"aux_{i}", teacher.params)
                     _, kl, g_aux = _grad_pass(teacher, x, kl_of, "KL", tape, split)
                     subtract_noise(teacher.params, record)
-                    _mark(trace, f"rollback_{i}", teacher.params)
                     kl_loss += kl
                     parts.append(g_aux)
                 grads = aggregate_gradients(parts)
@@ -230,8 +206,6 @@ class Strategy:
                     model.params.restore(teacher.params.snapshot())
         finally:
             drawn()  # no draw outlives its step
-        if trace is not None:
-            trace.final_grads = grads
         adam_step(model.params, grads, state, lr)
         wall_ms, lane_ms = (time.perf_counter() - start) * 1e3, (lane_busy_s() - busy) * 1e3
         faults = _minor_faults() - faults

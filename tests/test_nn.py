@@ -183,6 +183,25 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(tmp_path / "cut.ckpt")
 
+    def test_a_write_that_fails_mid_file_leaves_the_old_file_or_none(self, tmp_path):
+        class DiskFull(np.ndarray):  # fails when its payload is written
+            def astype(self, *args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+        model = build_simple_cnn((1, 8, 8), 4, seed=5)
+        bias = model.params.get("dense1.bias")
+        path = tmp_path / "final.ckpt"
+        bias.data = bias.data.view(DiskFull)  # conv1 ... dense1.weight are written first
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(model.params, path)
+        assert list(tmp_path.iterdir()) == []  # neither final.ckpt nor final.ckpt.part
+        save_checkpoint(build_simple_cnn((1, 8, 8), 4, seed=6).params, path)
+        old = path.read_bytes()
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(model.params, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == old
+
     def test_model_from_params_reproduces_forward(self, tmp_path, rng):
         model = build_simple_cnn((1, 8, 8), 4, seed=5)
         path = tmp_path / "model.ckpt"

@@ -1,5 +1,7 @@
+import contextlib
 import threading
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -9,12 +11,11 @@ from sadtlab import autodiff, strategies
 from sadtlab.autodiff import Tensor
 from sadtlab.data import MixedBatch, cutmix
 from sadtlab.nn import build_simple_cnn, build_tiny_mlp
-from sadtlab.optim import AdamState, adam_step, gradient_centralize
+from sadtlab.optim import AdamState, GradSet, NoiseRecord, adam_step, gradient_centralize
 from sadtlab.strategies import (
     PRESETS,
     STRATEGY_IDS,
     NonFiniteLossError,
-    StepTrace,
     Strategy,
     _grad_pass,
     mixed_cross_entropy,
@@ -48,6 +49,54 @@ def mlp_and_batch(seed=0):
 
 def snapshots_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@dataclass
+class Spied:
+    """What ``spy_step`` saw: snapshots of the shifted copies ("perturbed",
+    "w_up", "aux_<i>", "rollback_<i>"), one shift record per teacher in
+    teacher order, and the gradient of the last ``adam_step`` (the final update)."""
+
+    marks: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    records: list[NoiseRecord] = field(default_factory=list)
+    final_grads: GradSet | None = None
+
+
+@contextlib.contextmanager
+def spy_step():
+    """Watch the steps run inside the block through the module globals that
+    ``Strategy.step`` calls. Each spy calls the function it wraps unchanged,
+    then snapshots what it was given or returned."""
+    seen = Spied()
+    wrapped = {attr: getattr(strategies, attr)
+               for attr in ("sam_point", "add_noise", "subtract_noise", "adam_step")}
+
+    def sam_point(model, grads, rho):
+        shifted = wrapped["sam_point"](model, grads, rho)
+        if shifted is not None:
+            seen.marks["perturbed"] = shifted.params.snapshot()
+        return shifted
+
+    def add_noise(params, shift):
+        i = len(seen.records)
+        if i == 0:  # the first teacher shifts w_up
+            seen.marks["w_up"] = params.snapshot()
+        seen.records.append(wrapped["add_noise"](params, shift))
+        seen.marks[f"aux_{i}"] = params.snapshot()
+        return seen.records[i]
+
+    def subtract_noise(params, record):
+        wrapped["subtract_noise"](params, record)  # right after its own add_noise
+        seen.marks[f"rollback_{len(seen.records) - 1}"] = params.snapshot()
+
+    def adam_step(params, grads, state, lr):
+        seen.final_grads = grads
+        return wrapped["adam_step"](params, grads, state, lr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for spy in (sam_point, add_noise, subtract_noise, adam_step):
+            mp.setattr(strategies, spy.__name__, spy)
+        yield seen
 
 
 class TestDegenerateNoOp:
@@ -145,18 +194,22 @@ class TestGcAgc:
         assert snapshots_equal(model_a.params.snapshot(), model_b.params.snapshot())
 
     def test_gc_post_condition_inside_step(self):
+        # the final update is fed the centralized task gradient: every conv
+        # filter and dense output unit of it has mean zero
         batch = small_batch(seed=1)
         model = small_cnn(seed=4)
-        trace = StepTrace()
-        # the gc strategy centralizes before the update; replicate and check the invariant
-        grads = task_grads(model, batch)
-        out = gradient_centralize(grads)
-        for name, arr in out.items():
+        with spy_step() as seen:
+            Strategy("gc").step(model, batch, AdamState(model.params), lr=0.001)
+        expected = gradient_centralize(task_grads(small_cnn(seed=4), batch))
+        assert _bytes(seen.final_grads) == _bytes(expected)
+        units = {"conv": (1, 2, 3), "dense": 0}  # a filter's, an output unit's axes
+        centred = set()
+        for name, arr in seen.final_grads.items():
             kind = model.params.entry(name).kind
-            if kind == "conv":
-                assert np.max(np.abs(arr.mean(axis=(1, 2, 3)))) < 1e-12
-            elif kind == "dense":
-                assert np.max(np.abs(arr.mean(axis=0))) < 1e-12
+            if kind in units:
+                assert np.max(np.abs(arr.mean(axis=units[kind]))) < 1e-12, name
+                centred.add(kind)
+        assert centred == set(units)
 
 
 class TestSam:
@@ -178,9 +231,9 @@ class TestSam:
         model = small_cnn(seed=6)
         batch = small_batch(seed=7)
         w = model.params.snapshot()
-        trace = StepTrace()
-        Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001, trace=trace)
-        pert = trace.marks["perturbed"]
+        with spy_step() as seen:
+            Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001)
+        pert = seen.marks["perturbed"]
         delta = np.concatenate([(pert[k] - w[k]).ravel() for k in w])
         assert np.linalg.norm(delta) == pytest.approx(0.05, abs=1e-9)
 
@@ -189,9 +242,9 @@ class TestSam:
         model = small_cnn(seed=6)
         expected = small_cnn(seed=6)
         batch = small_batch(seed=7)
-        trace = StepTrace()
-        Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001, trace=trace)
-        adam_step(expected.params, trace.final_grads, AdamState(expected.params), 0.001)
+        with spy_step() as seen:
+            Strategy("sam", rho=0.05).step(model, batch, AdamState(model.params), lr=0.001)
+        adam_step(expected.params, seen.final_grads, AdamState(expected.params), 0.001)
         assert snapshots_equal(model.params.snapshot(), expected.params.snapshot())
 
     def test_tiny_rho_converges_to_baseline(self):
@@ -236,13 +289,13 @@ class TestSadtV1:
         model = small_cnn(seed=8)
         batch = small_batch(seed=9)
         before = model.params.snapshot()
-        trace = StepTrace()
-        report = Strategy("sadt_v1", sigma_w=0.0).step(
-            model, batch, AdamState(model.params), lr=0.0,
-            noise_seed=np.random.SeedSequence(0), trace=trace,
-        )
+        with spy_step() as seen:
+            report = Strategy("sadt_v1", sigma_w=0.0).step(
+                model, batch, AdamState(model.params), lr=0.0,
+                noise_seed=np.random.SeedSequence(0),
+            )
         assert snapshots_equal(model.params.snapshot(), before)
-        assert snapshots_equal(trace.marks["w_up"], before)  # w_up == w at lr 0
+        assert snapshots_equal(seen.marks["w_up"], before)  # w_up == w at lr 0
         assert report.kl_loss == 0.0
 
     def test_sigma_zero_lr_positive_kl_nonnegative(self):
@@ -257,23 +310,23 @@ class TestSadtV1:
     def test_noise_rollback_restores_w_up_bitwise(self):
         model = small_cnn(seed=8)
         batch = small_batch(seed=9)
-        trace = StepTrace()
-        Strategy("sadt_v1", sigma_w=0.0001).step(
-            model, batch, AdamState(model.params), lr=0.0001,
-            noise_seed=np.random.SeedSequence(3), trace=trace,
-        )
-        assert not snapshots_equal(trace.marks["w_up"], trace.marks["aux_0"])
-        assert snapshots_equal(trace.marks["w_up"], trace.marks["rollback_0"])
+        with spy_step() as seen:
+            Strategy("sadt_v1", sigma_w=0.0001).step(
+                model, batch, AdamState(model.params), lr=0.0001,
+                noise_seed=np.random.SeedSequence(3),
+            )
+        assert not snapshots_equal(seen.marks["w_up"], seen.marks["aux_0"])
+        assert snapshots_equal(seen.marks["w_up"], seen.marks["rollback_0"])
 
     def test_noise_touches_every_entry(self):
         model = small_cnn(seed=8)
         batch = small_batch(seed=9)
-        trace = StepTrace()
-        Strategy("sadt_v1", sigma_w=0.0001).step(
-            model, batch, AdamState(model.params), lr=0.0001,
-            noise_seed=np.random.SeedSequence(3), trace=trace,
-        )
-        assert list(trace.records[0].shifts) == model.params.names()
+        with spy_step() as seen:
+            Strategy("sadt_v1", sigma_w=0.0001).step(
+                model, batch, AdamState(model.params), lr=0.0001,
+                noise_seed=np.random.SeedSequence(3),
+            )
+        assert list(seen.records[0].shifts) == model.params.names()
 
     def test_trajectory_determinism(self):
         finals = []
@@ -290,15 +343,15 @@ class TestSadtV1:
     def test_rollback_to_w_applies_final_update_at_w(self):
         model, batch = mlp_and_batch(seed=4)
         w0 = model.params.snapshot()
-        trace = StepTrace()
         state = AdamState(model.params)
-        Strategy("sadt_v1", sigma_w=0.0001, rollback_to_w=True).step(
-            model, batch, state, lr=0.01, noise_seed=np.random.SeedSequence(1), trace=trace,
-        )
-        # reconstruct: one persistent Adam step at w with the traced gradient
+        with spy_step() as seen:
+            Strategy("sadt_v1", sigma_w=0.0001, rollback_to_w=True).step(
+                model, batch, state, lr=0.01, noise_seed=np.random.SeedSequence(1),
+            )
+        # reconstruct: one persistent Adam step at w with the spied final gradient
         expected = build_tiny_mlp(4, [8], 3, seed=4)
         expected.params.restore(w0)
-        adam_step(expected.params, trace.final_grads, AdamState(expected.params), 0.01)
+        adam_step(expected.params, seen.final_grads, AdamState(expected.params), 0.01)
         assert snapshots_equal(model.params.snapshot(), expected.params.snapshot())
 
     def test_persistent_state_advances_once_per_step(self):
@@ -314,24 +367,24 @@ class TestSadtV2:
     def test_records_touch_last_conv_then_last_dense(self):
         model = small_cnn(seed=10)
         batch = small_batch(seed=11)
-        trace = StepTrace()
-        Strategy("sadt_v2", sigma_w=0.0001).step(
-            model, batch, AdamState(model.params), 0.0001,
-            noise_seed=np.random.SeedSequence(0), trace=trace,
-        )
-        assert list(trace.records[0].shifts) == ["conv3.weight", "conv3.bias"]
-        assert list(trace.records[1].shifts) == ["dense3.weight", "dense3.bias"]
+        with spy_step() as seen:
+            Strategy("sadt_v2", sigma_w=0.0001).step(
+                model, batch, AdamState(model.params), 0.0001,
+                noise_seed=np.random.SeedSequence(0),
+            )
+        assert list(seen.records[0].shifts) == ["conv3.weight", "conv3.bias"]
+        assert list(seen.records[1].shifts) == ["dense3.weight", "dense3.bias"]
 
     def test_both_rollbacks_restore_w_up_bitwise(self):
         model = small_cnn(seed=10)
         batch = small_batch(seed=11)
-        trace = StepTrace()
-        Strategy("sadt_v2", sigma_w=0.0001).step(
-            model, batch, AdamState(model.params), 0.0001,
-            noise_seed=np.random.SeedSequence(0), trace=trace,
-        )
-        assert snapshots_equal(trace.marks["w_up"], trace.marks["rollback_0"])
-        assert snapshots_equal(trace.marks["w_up"], trace.marks["rollback_1"])
+        with spy_step() as seen:
+            Strategy("sadt_v2", sigma_w=0.0001).step(
+                model, batch, AdamState(model.params), 0.0001,
+                noise_seed=np.random.SeedSequence(0),
+            )
+        assert snapshots_equal(seen.marks["w_up"], seen.marks["rollback_0"])
+        assert snapshots_equal(seen.marks["w_up"], seen.marks["rollback_1"])
 
     def test_mlp_without_conv_rejected(self):
         model, batch = mlp_and_batch()
@@ -361,29 +414,27 @@ class TestSadtV3:
         rho = 0.05
         ascent = rho / grads.global_norm()
 
-        trace_sam = StepTrace()
-        Strategy("sam", rho=rho).step(
-            model_b, batch, AdamState(model_b.params), lr=0.0, trace=trace_sam
-        )
-        trace_v3 = StepTrace()
-        Strategy("sadt_v3", sigma_g=0.0, ascent_lr=ascent).step(
-            model_a, batch, AdamState(model_a.params), lr=0.0,
-            noise_seed=np.random.SeedSequence(0), trace=trace_v3,
-        )
-        sam_point = trace_sam.marks["perturbed"]
-        v3_point = trace_v3.marks["aux_0"]
+        with spy_step() as seen_sam:
+            Strategy("sam", rho=rho).step(model_b, batch, AdamState(model_b.params), lr=0.0)
+        with spy_step() as seen_v3:
+            Strategy("sadt_v3", sigma_g=0.0, ascent_lr=ascent).step(
+                model_a, batch, AdamState(model_a.params), lr=0.0,
+                noise_seed=np.random.SeedSequence(0),
+            )
+        sam_point = seen_sam.marks["perturbed"]
+        v3_point = seen_v3.marks["aux_0"]
         for name in sam_point:
             assert np.max(np.abs(sam_point[name] - v3_point[name])) < 1e-12, name
 
     def test_restore_after_ascent_is_bitwise(self):
         model = small_cnn(seed=13)
         batch = small_batch(seed=14)
-        trace = StepTrace()
-        Strategy("sadt_v3", sigma_g=0.0001, ascent_lr=0.0001).step(
-            model, batch, AdamState(model.params), lr=0.0001,
-            noise_seed=np.random.SeedSequence(2), trace=trace,
-        )
-        assert snapshots_equal(trace.marks["w_up"], trace.marks["rollback_0"])
+        with spy_step() as seen:
+            Strategy("sadt_v3", sigma_g=0.0001, ascent_lr=0.0001).step(
+                model, batch, AdamState(model.params), lr=0.0001,
+                noise_seed=np.random.SeedSequence(2),
+            )
+        assert snapshots_equal(seen.marks["w_up"], seen.marks["rollback_0"])
 
     def test_lr_zero_ascent_zero_unchanged(self):
         model, batch = mlp_and_batch(seed=15)
@@ -398,22 +449,22 @@ class TestSadtV3:
         # draw per entry in parameter order from the teacher's rng
         model, batch = mlp_and_batch(seed=15)
         grads = task_grads(model, batch)
-        trace = StepTrace()
-        Strategy("sadt_v3", sigma_g=0.01, ascent_lr=0.001).step(
-            model, batch, AdamState(model.params), lr=0.001,
-            noise_seed=np.random.SeedSequence(0), trace=trace,
-        )
+        with spy_step() as seen:
+            Strategy("sadt_v3", sigma_g=0.01, ascent_lr=0.001).step(
+                model, batch, AdamState(model.params), lr=0.001,
+                noise_seed=np.random.SeedSequence(0),
+            )
         (child,) = np.random.SeedSequence(0).spawn(1)
         rng = np.random.default_rng(child)
-        (record,) = trace.records  # one shift record for the one teacher
+        (record,) = seen.records  # one shift record for the one teacher
         assert list(record.shifts) == model.params.names()
         assert record.consumed
         for name, g in grads.items():
             noise = rng.normal(0.0, 0.01, size=g.shape)
             assert np.all(noise != 0.0)
             assert np.array_equal(record.shifts[name], 0.001 * (g + noise)), name
-            expected = trace.marks["w_up"][name] + 0.001 * (g + noise)
-            assert np.array_equal(trace.marks["aux_0"][name], expected), name
+            expected = seen.marks["w_up"][name] + 0.001 * (g + noise)
+            assert np.array_equal(seen.marks["aux_0"][name], expected), name
 
     def test_default_ascent_lr_follows_schedule(self):
         model, batch = mlp_and_batch(seed=16)
@@ -540,10 +591,10 @@ def _teacher_step(strategy_id, steps=2):
     state = AdamState(model.params)
     strat = Strategy(strategy_id, sigma_w=0.01, sigma_g=0.01, ascent_lr=0.001)
     for step in range(steps):
-        trace = StepTrace()
-        strat.step(model, small_batch(seed=31 + step), state, 0.001,
-                   noise_seed=np.random.SeedSequence(step), trace=trace)
-    return model.params.snapshot(), state, trace.records
+        with spy_step() as seen:
+            strat.step(model, small_batch(seed=31 + step), state, 0.001,
+                       noise_seed=np.random.SeedSequence(step))
+    return model.params.snapshot(), state, seen.records
 
 
 def _bytes(arrays):
@@ -574,13 +625,13 @@ class TestTeacherNoiseDrawnAhead:
         batch = small_batch(seed=33)
         grads = task_grads(model.clone(), batch)
         strat = Strategy(strategy_id, sigma_w=0.01, sigma_g=0.02, ascent_lr=0.003)
-        trace = StepTrace()
-        strat.step(model, batch, AdamState(model.params), 0.001,
-                   noise_seed=np.random.SeedSequence(7), trace=trace)
+        with spy_step() as seen:
+            strat.step(model, batch, AdamState(model.params), 0.001,
+                       noise_seed=np.random.SeedSequence(7))
         teachers = PRESETS[strategy_id].teachers
         children = np.random.SeedSequence(7).spawn(len(teachers))
-        assert len(trace.records) == len(teachers)
-        for layer_filter, child, record in zip(teachers, children, trace.records):
+        assert len(seen.records) == len(teachers)
+        for layer_filter, child, record in zip(teachers, children, seen.records):
             rng = np.random.default_rng(child)
             for name in record.shifts:
                 if layer_filter == "gradient-all":
@@ -599,10 +650,10 @@ class TestTeacherNoiseDrawnAhead:
             "sadt_v2": [["conv3.weight", "conv3.bias"], ["dense3.weight", "dense3.bias"]],
             "sadt_v3": [every],
         }
-        trace = StepTrace()
-        Strategy(strategy_id).step(model, small_batch(seed=33), AdamState(model.params), 0.001,
-                                   noise_seed=np.random.SeedSequence(7), trace=trace)
-        assert [list(record.shifts) for record in trace.records] == expected[strategy_id]
+        with spy_step() as seen:
+            Strategy(strategy_id).step(model, small_batch(seed=33), AdamState(model.params),
+                                       0.001, noise_seed=np.random.SeedSequence(7))
+        assert [list(record.shifts) for record in seen.records] == expected[strategy_id]
 
     @pytest.mark.parametrize("strategy_id", TEACHER_IDS)
     def test_a_non_finite_task_loss_raises_once_the_draw_has_ended(self, worker, monkeypatch,
