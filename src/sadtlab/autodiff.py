@@ -51,19 +51,23 @@ or two give the same bits. A conv lane walks its images in blocks of at least
 ``_LANE_MIN_WORK`` multiply-adds, forward and input gradient alike, so each
 block's product has the whole product's bits.
 
-Every job reaches the worker through ``_in_background``: the upper lane, and
-the teachers' noise draw that a training step hands it at its start; the
-lanes of the step's passes queue behind that draw. Without a worker the
-draw runs on the caller first. ``lane_busy_s`` reads the worker's time in
+The worker is a one-thread ``ThreadPoolExecutor``, started at its first job.
+Every job reaches it through ``_in_background``: the upper lane, and the
+teachers' noise draw that a training step hands it at its start; the lanes of
+the step's passes queue behind that draw. Without a worker the draw runs on
+the caller first. A job calls numpy only, under its caller's errstate, and
+the worker drops it (its closure holds the op's buffers) and counts its time
+before the caller's wait returns. ``lane_busy_s`` reads the worker's time in
 jobs, which a training step reports.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -383,77 +387,29 @@ _SUM_WORK_PER_CELL = 10
 _MATMUL_GIL_MAX_OUT = 500
 
 
-class _Worker:
-    """One daemon thread that runs the upper lane of split kernels, and the
-    teachers' noise draws that a training step starts at its entry.
-
-    It runs numpy calls only, never a tape op, under the errstate of the
-    thread that handed it the job. Jobs go in on one queue and run in turn;
-    each reply comes back on a queue of its own, so callers on several
-    threads share it. ``busy_s`` adds up the seconds it has spent in jobs,
-    each counted before its reply is sent.
-    """
-
-    def __init__(self):
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-        self._starting = threading.Lock()
-        self.busy_s = 0.0  # written by the worker thread only
-
-    def _serve(self) -> None:
-        while True:
-            fn, errstate, reply = self._jobs.get()
-            failure = None
-            start = time.perf_counter()
-            try:
-                with np.errstate(**errstate):
-                    fn()
-            except BaseException as exc:  # re-raised in the caller
-                failure = exc
-            # fn's closure holds the op's buffers: they must not outlive the op
-            del fn
-            self.busy_s += time.perf_counter() - start
-            reply.put(failure)
-            del failure
-
-    def submit(self, fn: Callable[[], None]) -> Callable[[], None]:
-        """Queue ``fn()`` and return a wait for it (see ``_in_background``)."""
-        with self._starting:
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._serve, name="sadtlab-lane",
-                                                daemon=True)
-                self._thread.start()
-        reply: queue.SimpleQueue = queue.SimpleQueue()
-        errstate = {**np.geterr(), "call": np.geterrcall()}
-        self._jobs.put((fn, errstate, reply))
-
-        def wait() -> None:
-            failure = reply.get()
-            reply.put(failure)  # so the next wait returns, or raises, at once
-            if failure is not None:
-                raise failure
-
-        return wait
+# the lane worker: one thread, started at its first job, that runs jobs in turn
+_lane_worker = functools.partial(ThreadPoolExecutor, 1, thread_name_prefix="sadtlab-lane")
 
 
-def _new_worker() -> _Worker | None:
+def _new_worker() -> ThreadPoolExecutor | None:
     affinity = getattr(os, "sched_getaffinity", None)
-    return _Worker() if affinity is not None and len(affinity(0)) > 1 else None
+    return _lane_worker() if affinity is not None and len(affinity(0)) > 1 else None
 
 
 _WORKER = _new_worker()
+_BUSY_S = 0.0  # seconds in jobs, written by the worker thread only
 
 
 def lane_busy_s() -> float:
     """Seconds the lane worker has spent in jobs so far; 0 without a worker."""
-    return 0.0 if _WORKER is None else _WORKER.busy_s
+    return 0.0 if _WORKER is None else _BUSY_S
 
 
 def _reset_worker() -> None:
     # a forked child has no worker thread; a fresh worker starts its own
     global _WORKER
     if _WORKER is not None:
-        _WORKER = _Worker()
+        _WORKER = _lane_worker()
 
 
 if hasattr(os, "register_at_fork"):
@@ -513,16 +469,30 @@ def _in_background(fn: Callable[[], None]) -> Callable[[], None]:
     """Start ``fn()`` on the lane worker and return a wait for it, or run it
     here first when there is no worker.
 
-    The wait blocks until ``fn`` has ended and re-raises a failure from it;
-    calling it again returns, or raises, at once. ``fn`` calls numpy only,
-    never a tape op or anything a profiler may wrap. Lanes handed to the
-    worker meanwhile queue behind it.
+    ``fn`` calls numpy only, never a tape op or anything a profiler may wrap,
+    and runs under the errstate of the thread that hands it over. Jobs run in
+    turn: lanes handed to the worker meanwhile queue behind it. Before the
+    wait returns, the worker has dropped ``fn`` (its closure holds the op's
+    buffers) and added its seconds to ``lane_busy_s``. The wait blocks until
+    ``fn`` has ended and re-raises a failure from it; calling it again
+    returns, or raises, at once.
     """
     worker = _WORKER
     if worker is None:
         fn()
         return lambda: None
-    return worker.submit(fn)
+    job, errstate = [fn], {**np.geterr(), "call": np.geterrcall()}
+
+    def run() -> None:
+        global _BUSY_S
+        start = time.perf_counter()
+        try:
+            with np.errstate(**errstate):
+                job.pop()()
+        finally:
+            _BUSY_S += time.perf_counter() - start
+
+    return worker.submit(run).result
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ landscape identical across compared strategies.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -186,8 +187,8 @@ def cutmix(images: np.ndarray, labels: np.ndarray, alpha: float, seed: int) -> M
     recomputed from the clipped box so label weights always agree with
     surviving pixels.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(images) < 2:

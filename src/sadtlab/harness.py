@@ -216,8 +216,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunLog:
     out.mkdir(parents=True, exist_ok=True)
     for name in RUN_FILES:  # one run per directory: no file of an earlier run stays
         (out / name).unlink(missing_ok=True)
-    (out / RESOLVED_FILE).write_text(resolved_text(cfg))
-    (out / ENV_FILE).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
+    _replace_text(out / RESOLVED_FILE, resolved_text(cfg))
+    _replace_text(out / ENV_FILE, json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     state = AdamState(model.params)
     batches_per_epoch = (train.n + batch_size - 1) // batch_size
     total_steps = epochs * batches_per_epoch

@@ -70,8 +70,8 @@ def estimate_sharpness(
     """Mean over batches of CE(w + rho * g/||g||) - CE(w) on a copy: w never
     moves, and a zero gradient skips the ascent and counts 0. ``logits`` holds
     each batch's logits at w, the bits ``probe_logits`` gives without its forwards."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     if not data_batches:
         raise ValueError("estimate_sharpness needs at least one batch")
     values: list[float] = []

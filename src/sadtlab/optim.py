@@ -209,8 +209,8 @@ def _unit_norms(arr: np.ndarray) -> np.ndarray:
 
 def adaptive_gradient_clip(params: ParamSet, grads: GradSet, lam: float = 0.01) -> GradSet:
     """Per unit (``_unit_axes``), rescale g so that ||g|| <= lam * max(||w||, 1e-3)."""
-    if lam <= 0:
-        raise ValueError(f"clip ratio must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"clip ratio must be positive and finite, got {lam}")
     grads.check_aligned(params)
     out = GradSet()
     for e in params.entries:

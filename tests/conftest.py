@@ -79,7 +79,7 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
 def worker(monkeypatch):
     """A lane worker, made even on a one-CPU machine, whose ``handed`` counts
     the jobs (lanes and background draws) it was given."""
-    jobs = autodiff._WORKER or autodiff._Worker()
+    jobs = autodiff._WORKER or autodiff._lane_worker()
     monkeypatch.setattr(autodiff, "_WORKER", jobs)
     submit = jobs.submit
 

@@ -74,7 +74,7 @@ CASES = [(side, c, f, n) for side, c, f in SHAPES for n in _batches(side, c, f)]
 
 
 # made even on a one-CPU machine, where the module has none; one for every case
-WORKER = autodiff._WORKER or autodiff._Worker()
+WORKER = autodiff._WORKER or autodiff._lane_worker()
 
 
 @pytest.fixture(params=["worker", "one-lane"])

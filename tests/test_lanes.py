@@ -14,6 +14,7 @@ benchmark's shapes.
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -415,6 +416,30 @@ def test_the_worker_keeps_no_lane_once_it_ends(worker):
     assert ref() is None and worker.handed == 1
 
 
+def test_the_worker_thread_starts_at_the_first_lane():
+    # importing the package starts no thread; a laned conv starts the one worker thread
+    probe = f"""
+import threading
+import numpy as np
+import sadtlab.cli, sadtlab.harness, sadtlab.strategies
+from sadtlab import autodiff
+print(threading.active_count())
+if autodiff._WORKER is not None:
+    gen = np.random.default_rng(0)
+    autodiff.conv2d(autodiff.Tensor(gen.normal(size=({2 * LANE_IMAGES}, 8, 8, 32))),
+                    autodiff.Tensor(gen.normal(size=(64, 32, 3, 3))),
+                    autodiff.Tensor(gen.normal(size=64)))
+    names = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    print(autodiff.lane_busy_s() > 0, len(names), all(n.startswith("sadtlab-lane") for n in names))
+"""
+    src = os.path.dirname(os.path.dirname(autodiff.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    lines = result.stdout.splitlines()
+    assert lines == ["1"] + (["True 1 True"] if autodiff._WORKER is not None else [])
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a process with threads
 def test_a_forked_child_runs_laned_ops(worker):
@@ -425,8 +450,8 @@ def test_a_forked_child_runs_laned_ops(worker):
         code = 1
         try:
             same = _conv(2 * LANE_IMAGES, True) == expected
-            child_worker = autodiff._WORKER
-            code = 0 if same and child_worker._thread.is_alive() else 3
+            lane = any(t.name.startswith("sadtlab-lane") for t in threading.enumerate())
+            code = 0 if same and lane else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60

@@ -83,7 +83,7 @@ def test_finite_batches_whose_sum_overflows_give_none():
     assert estimate_sharpness(mlp, batches, rho=6e307).value is None
 
 
-@pytest.mark.parametrize("rho", [0.0, -0.05, float("nan")])
+@pytest.mark.parametrize("rho", [0.0, -0.05, float("nan"), float("inf")])
 def test_non_positive_rho_is_rejected(model, dataset, rho):
     with pytest.raises(ValueError, match="rho must be positive"):
         estimate_sharpness(model, probe_batches(dataset, 1, 4), rho)
@@ -264,6 +264,23 @@ def test_a_failed_log_write_keeps_the_finished_epochs_logs(probe_config, monkeyp
     assert kept.count("\n") == 1 + 2 + 24 // BATCH + 2 + 1  # all of epoch 1, as above
     assert whole.startswith(kept)
     assert not list((tmp_path / "full").glob("*.part"))  # the failed write left no part file
+
+
+def test_a_failed_env_write_leaves_no_env_file(probe_config, monkeypatch):
+    write_text = Path.write_text
+
+    def disk_fills(self, text, *args, **kwargs):
+        if self.name.startswith(harness.ENV_FILE):  # a third of env.json fits
+            write_text(self, text[: len(text) // 3], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_fills)
+    with pytest.raises(OSError, match="No space left on device"):
+        harness.run_experiment(probe_config)
+    run = Path(probe_config.output.dir)
+    assert (run / harness.RESOLVED_FILE).exists()
+    assert not list(run.glob(harness.ENV_FILE + "*"))  # neither env.json nor its part file
 
 
 def test_a_rerun_leaves_no_wall_times_of_the_run_before(probe_config):

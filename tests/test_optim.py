@@ -166,6 +166,13 @@ class TestAdaptiveGradientClip:
         # bound = lam * max(||w||, 1e-3) = 1e-5
         assert out.get("dense1.weight")[0, 0] == pytest.approx(1e-5, rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.01, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_ratio_is_rejected(self, lam):
+        params = ParamSet.from_named_arrays([("dense1.weight", np.ones((2, 1)))])
+        grads = GradSet({"dense1.weight": np.ones((2, 1))})
+        with pytest.raises(ValueError, match=f"clip ratio must be positive and finite, got {lam}"):
+            adaptive_gradient_clip(params, grads, lam)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_post_clip_bound_holds_everywhere(self, seed):

@@ -580,6 +580,11 @@ class TestStrategyDispatch:
             )
             assert np.isfinite(report.task_loss)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_cutmix_rejects_a_non_positive_or_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
+            cutmix(np.zeros((2, 1, 8, 8)), np.zeros(2, dtype=np.int64), alpha, 0)
+
 
 TEACHER_IDS = [s for s in STRATEGY_IDS if PRESETS[s].teachers]
 
